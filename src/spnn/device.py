@@ -20,6 +20,7 @@ from spnn.numerics import Rng, db_to_field, power_to_db
 __all__ = [
     "MziParams",
     "PhasePair",
+    "mzi_cells",
     "mzi_transfer",
     "port_insertion_loss",
     "output_insertion_loss",
@@ -100,24 +101,32 @@ def _coupler(kappa: float, a_l: float) -> np.ndarray:
     return a_l * np.array([[t, 1j * k], [1j * k, t]])
 
 
-def mzi_transfer(p: MziParams, ph: PhasePair) -> np.ndarray:
-    """Four-factor transfer matrix T_DC2 . T_theta . T_DC1 . T_phi.
+def mzi_cells(p: MziParams, theta, phi) -> np.ndarray:
+    """Four-factor transfer matrices T_DC2 . T_theta . T_DC1 . T_phi for
+    arrays of phases: shape ``theta.shape + (2, 2)``.
 
     Each dB loss enters as a field-amplitude factor: the coupler loss on
     both couplers, the metal absorption on the phased arm of each shifter
     section, and the propagation loss over the full device length.
-    With zero-dB losses and kappa=0.5 the result is unitary.
+    With zero-dB losses and kappa=0.5 every matrix is unitary.
     """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     a_l = db_to_field(p.alpha_l_db)
     a_m = db_to_field(p.alpha_m_db)
     a_p = db_to_field(p.propagation_db)
-    t_dc1 = _coupler(p.kappa1, a_l)
-    t_dc2 = _coupler(p.kappa2, a_l)
-    t_theta = np.array(
-        [[a_p * a_m * np.exp(1j * ph.theta), 0.0], [0.0, a_p]], dtype=complex
-    )
-    t_phi = np.array([[a_m * np.exp(1j * ph.phi), 0.0], [0.0, 1.0]], dtype=complex)
-    return t_dc2 @ t_theta @ t_dc1 @ t_phi
+    t_theta = np.zeros(theta.shape + (2, 2), dtype=complex)
+    t_theta[..., 0, 0] = a_p * a_m * np.exp(1j * theta)
+    t_theta[..., 1, 1] = a_p
+    t_phi = np.zeros(phi.shape + (2, 2), dtype=complex)
+    t_phi[..., 0, 0] = a_m * np.exp(1j * phi)
+    t_phi[..., 1, 1] = 1.0
+    return _coupler(p.kappa2, a_l) @ t_theta @ _coupler(p.kappa1, a_l) @ t_phi
+
+
+def mzi_transfer(p: MziParams, ph: PhasePair) -> np.ndarray:
+    """Loss-aware 2x2 transfer matrix of one MZI (see :func:`mzi_cells`)."""
+    return mzi_cells(p, ph.theta, ph.phi)
 
 
 def port_insertion_loss(

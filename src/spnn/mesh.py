@@ -28,6 +28,7 @@ __all__ = [
     "MziPlacement",
     "LayerLayout",
     "lossless_cell",
+    "lossless_cells",
     "clements_decompose",
     "clements_reconstruct",
     "diagonal_to_attenuators",
@@ -91,11 +92,22 @@ class LayerLayout:
         return -20.0 * math.log10(self.s_max)
 
 
+def lossless_cells(theta, phi) -> np.ndarray:
+    """Lossless cells T(theta, phi) for arrays of phases: shape
+    ``theta.shape + (2, 2)``."""
+    half = np.asarray(theta, dtype=float) / 2.0
+    s, c = np.sin(half), np.cos(half)
+    ephi = np.exp(1j * np.asarray(phi, dtype=float))
+    cells = np.empty(half.shape + (2, 2), dtype=complex)
+    cells[..., 0, 0] = ephi * s
+    cells[..., 0, 1] = c
+    cells[..., 1, 0] = ephi * c
+    cells[..., 1, 1] = -s
+    return (1j * np.exp(1j * half))[..., None, None] * cells
+
+
 def lossless_cell(theta: float, phi: float) -> np.ndarray:
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    base = 1j * np.exp(1j * theta / 2.0)
-    ephi = np.exp(1j * phi)
-    return base * np.array([[ephi * s, c], [ephi * c, -s]])
+    return lossless_cells(theta, phi)
 
 
 def _wrap_phi(phi: float) -> float:

@@ -4,21 +4,38 @@ The signal traverses each layer stage by stage (V^H mesh, phase screen,
 Sigma attenuators, U mesh, phase screen, then scalar gain/NAU factors).
 At every two-port mesh MZI a crosstalk coefficient X is drawn; the routed
 signal keeps the sqrt(1-X) field factor while a sqrt(X)-scaled row-swapped
-copy is spawned as a leak field. Leak fields ride through the remaining
-network in plain lossy mode without re-leaking (first order) and are only
-phase-resolved at measurement points via Monte-Carlo interference.
+copy is born as a leak field. Leaks do not re-leak (first order), so after
+its birth a leak rides the plain lossy transfer of the rest of the network,
+which no X draw touches.
+
+Propagation with crosstalk is one forward pass and one backward pass. The
+forward pass moves only the signal, draws X MZI by MZI in light order and
+writes each newborn two-row leak into the leak bank. The backward pass
+walks the stages in reverse, keeping the running suffix transfer S from
+the current point to the output (S = I at the output). At each mesh MZI it
+maps that MZI's leak to the output, S[:, r:r+2] @ leak, and then folds the
+MZI's 2x2 cell into two columns of S; screens, attenuators and gains scale
+the columns of S. Under the first-order model this is exact, and each leak
+costs O(N) instead of a push through every later MZI. Leak fields are
+phase-resolved only at measurement points via Monte-Carlo interference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.device import MziParams, crosstalk_coefficient, crosstalk_mean_db, mzi_transfer
-from spnn.mesh import LayerLayout, MziPlacement, lossless_cell
-from spnn.numerics import Rng, db_to_field, dbm_to_mw, mw_to_dbm, power_to_db
+from spnn.device import (
+    MziParams,
+    crosstalk_coefficient,
+    crosstalk_mean_db,
+    mzi_cells,
+    mzi_transfer,
+)
+from spnn.mesh import LayerLayout, MziPlacement, lossless_cells
+from spnn.numerics import Rng, db_to_field, dbm_to_mw, power_to_db
 
 __all__ = [
     "CrosstalkComponent",
@@ -28,7 +45,6 @@ __all__ = [
     "freeze_noise",
     "propagate_signal",
     "propagate_with_crosstalk",
-    "layer_metrics",
     "network_cascade",
     "transfer_matrix",
     "ideal_transfer",
@@ -37,10 +53,6 @@ __all__ = [
     "crosstalk_power_matrix",
     "resolve_crosstalk_fields",
 ]
-
-# Leaked fields are >= 36 dB below the signal, so second-order leaks sit
-# below -36 dB of the leaks themselves and are not spawned.
-FIRST_ORDER_ONLY = True
 
 
 @dataclass(frozen=True)
@@ -148,16 +160,24 @@ def freeze_noise(
 # Core engine
 # --------------------------------------------------------------------------
 
-def _apply_rows(arr: np.ndarray, r: int, t2: np.ndarray) -> None:
-    sub = arr[r : r + 2].reshape(2, -1)
-    arr[r : r + 2] = (t2 @ sub).reshape(arr[r : r + 2].shape)
+@dataclass(frozen=True)
+class _Mesh:
+    """A mesh's MZIs in light order (column by column, placement order
+    within a column) as arrays: upper rows, thetas and (K, 2, 2) cells."""
+
+    rows: np.ndarray
+    thetas: np.ndarray
+    cells: np.ndarray
 
 
-def _mesh_columns(placements: list[MziPlacement]) -> list[list[tuple[int, MziPlacement]]]:
-    cols: dict[int, list[tuple[int, MziPlacement]]] = {}
-    for j, pl in enumerate(placements):
-        cols.setdefault(pl.column, []).append((j, pl))
-    return [cols[c] for c in sorted(cols)]
+def _mesh(placements: list[MziPlacement], p: MziParams, mode: str) -> _Mesh:
+    ordered = sorted(placements, key=lambda pl: pl.column)  # stable sort
+    rows = np.array([pl.top_row for pl in ordered], dtype=int)
+    thetas = np.array([pl.phases.theta for pl in ordered], dtype=float)
+    phis = np.array([pl.phases.phi for pl in ordered], dtype=float)
+    if mode == "ideal":
+        return _Mesh(rows, thetas, lossless_cells(thetas, phis))
+    return _Mesh(rows, thetas, mzi_cells(p, thetas, phis))
 
 
 def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
@@ -170,119 +190,156 @@ def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
     return factors
 
 
-class _LayerEngine:
-    """Propagates a signal array and an optional bank of leak fields
-    through one layer, spawning new leaks when crosstalk is enabled."""
+def _stages(layout: LayerLayout, p: MziParams, mode: str) -> list:
+    """One layer in light order. A stage is a :class:`_Mesh` or a per-port
+    field factor (phase screen or Sigma attenuators)."""
+    if mode not in ("ideal", "lossy"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return [
+        _mesh(layout.v_mesh, p, mode),
+        np.exp(1j * layout.v_screen),
+        _sigma_factors(layout, p, mode),
+        _mesh(layout.u_mesh, p, mode),
+        np.exp(1j * layout.u_screen),
+    ]
 
-    def __init__(
-        self,
-        layout: LayerLayout,
-        p: MziParams,
-        mode: str,
-        layer_index: int = 0,
-        rng: Rng | None = None,
-        frozen: FrozenNoise | None = None,
-        crosstalk: bool = False,
-        literal_leak_scalars: bool = False,
-        leak_birth: str = "physical",
-        nominal_power_mw: float = 1.0,
-    ):
-        if mode not in ("ideal", "lossy"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if leak_birth not in ("physical", "nominal"):
-            raise ValueError(f"unknown leak_birth {leak_birth!r}")
-        self.layout = layout
-        self.p = p
-        self.mode = mode
-        self.layer_index = layer_index
-        self.rng = rng
-        self.frozen = frozen
-        self.crosstalk = crosstalk
-        self.literal = literal_leak_scalars
-        self.leak_birth = leak_birth
-        self.nominal_power_mw = nominal_power_mw
-        self._cell_cache: dict[tuple[float, float], np.ndarray] = {}
 
-    def _cell(self, phases) -> np.ndarray:
-        key = (phases.theta, phases.phi)
-        if key not in self._cell_cache:
-            if self.mode == "ideal":
-                self._cell_cache[key] = lossless_cell(phases.theta, phases.phi)
+def _gain(layout: LayerLayout) -> float:
+    """Field factor of the layer's OGU gain and NAU loss."""
+    return db_to_field(layout.nau_loss_db - layout.gain_db)
+
+
+def _apply_rows(arr: np.ndarray, r: int, t2: np.ndarray) -> None:
+    sub = arr[r : r + 2].reshape(2, -1)
+    arr[r : r + 2] = (t2 @ sub).reshape(arr[r : r + 2].shape)
+
+
+def _scale_ports(arr: np.ndarray, per_port: np.ndarray) -> None:
+    arr *= per_port.reshape((len(per_port),) + (1,) * (arr.ndim - 1))
+
+
+def _signal_pass(
+    layers: list[LayerLayout],
+    p: MziParams,
+    signal: np.ndarray,
+    mode: str,
+    include_gain: bool,
+) -> np.ndarray:
+    """Crosstalk-free propagation; mutates ``signal`` (N, ...) in place."""
+    for layout in layers:
+        for stage in _stages(layout, p, mode):
+            if isinstance(stage, _Mesh):
+                for r, t2 in zip(stage.rows.tolist(), stage.cells):
+                    _apply_rows(signal, r, t2)
             else:
-                self._cell_cache[key] = mzi_transfer(self.p, phases)
-        return self._cell_cache[key]
+                _scale_ports(signal, stage)
+        if include_gain:
+            signal *= _gain(layout)
+    return signal
 
-    def _draw_x(self, mzi_index: int, theta: float) -> float:
+
+@dataclass(frozen=True)
+class _Splitter:
+    """How each mesh MZI splits its output into routed signal and leak."""
+
+    p: MziParams
+    rng: Rng | None = None
+    frozen: FrozenNoise | None = None
+    literal_leak_scalars: bool = False
+    leak_birth: str = "physical"
+    nominal_power_mw: float = 1.0
+
+    def __post_init__(self):
+        if self.leak_birth not in ("physical", "nominal"):
+            raise ValueError(f"unknown leak_birth {self.leak_birth!r}")
+
+    def split(self, signal: np.ndarray, r: int, t2: np.ndarray, key, theta):
+        """Draws X for the MZI ``key`` = (layer, mzi index), routes rows r,
+        r+1 of ``signal`` through ``t2`` in place, and returns the newborn
+        leak (2, B) and its power per sample (B,)."""
         if self.frozen is not None:
-            return self.frozen[(self.layer_index, mzi_index)]
-        if self.rng is None:
-            return crosstalk_mean_db(self.p, theta)
-        return crosstalk_coefficient(self.p, theta, self.rng)
+            x_db = self.frozen[key]
+        elif self.rng is None:
+            x_db = crosstalk_mean_db(self.p, theta)
+        else:
+            x_db = crosstalk_coefficient(self.p, theta, self.rng)
+        x_lin = 10.0 ** (x_db / 10.0)
+        if self.literal_leak_scalars:
+            sig_f, leak_f = 1.0 - x_lin, x_lin
+        else:
+            sig_f, leak_f = math.sqrt(1.0 - x_lin), math.sqrt(x_lin)
+        sub = signal[r : r + 2].reshape(2, -1)
+        routed = t2 @ sub
+        leak2 = leak_f * (t2[::-1, :] @ sub)
+        signal[r : r + 2] = (sig_f * routed).reshape(signal[r : r + 2].shape)
+        born = np.sum(np.abs(leak2) ** 2, axis=0)
+        if self.leak_birth == "nominal":
+            # Power-budget ledger: every leak is booked at X times the
+            # nominal launch power, regardless of how much the local signal
+            # has already been attenuated. The physical leak direction is
+            # kept.
+            target = x_lin * self.nominal_power_mw
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = np.where(born > 0.0, np.sqrt(target / born), 0.0)
+            leak2 = leak2 * scale
+            born = np.where(born > 0.0, target, 0.0)
+        return leak2, born
 
-    def run(self, signal, leaks, spawn_slots=None, sources=None, birth_power=None):
-        """Mutates signal/leaks in place. ``spawn_slots`` is an iterator of
-        column indices in ``leaks`` reserved for this layer's new leaks."""
+
+def _crosstalk_pass(
+    layers: list[LayerLayout],
+    splitter: _Splitter,
+    signal: np.ndarray,
+    include_gain: bool,
+    first_layer: int = 0,
+) -> PropagationResult:
+    """Lossy propagation with first-order leaks: a forward pass that moves
+    the signal and records every leak at birth, then one backward pass that
+    maps every leak to the output through the running suffix transfer."""
+    stages = [_stages(layout, splitter.p, "lossy") for layout in layers]
+    k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
+    leaks = np.zeros((signal.shape[0], k_total) + signal.shape[1:], dtype=complex)
+    sources: list = [None] * k_total
+    birth_power = np.zeros((k_total,) + signal.shape[1:])
+    gain_lin = np.ones(k_total)
+
+    slot = 0
+    for m, (layout, layer) in enumerate(zip(layers, stages), start=first_layer):
         mzi_index = 0
-        for block, role in ((self.layout.v_mesh, "v"), (self.layout.u_mesh, "u")):
-            for column in _mesh_columns(list(block)):
-                for _, pl in column:
-                    t2 = self._cell(pl.phases)
-                    r = pl.top_row
-                    if leaks is not None and leaks.shape[1]:
-                        _apply_rows(leaks, r, t2)
-                    if self.crosstalk:
-                        x_db = self._draw_x(mzi_index, pl.phases.theta)
-                        x_lin = 10.0 ** (x_db / 10.0)
-                        if self.literal:
-                            sig_f, leak_f = 1.0 - x_lin, x_lin
-                        else:
-                            sig_f = math.sqrt(1.0 - x_lin)
-                            leak_f = math.sqrt(x_lin)
-                        sub = signal[r : r + 2].reshape(2, -1)
-                        routed = t2 @ sub
-                        leak2 = leak_f * (t2[::-1, :] @ sub)
-                        signal[r : r + 2] = (sig_f * routed).reshape(
-                            signal[r : r + 2].shape
-                        )
-                        born = np.sum(np.abs(leak2) ** 2, axis=0)
-                        if self.leak_birth == "nominal":
-                            # Power-budget ledger: every leak is booked at
-                            # X times the nominal launch power, regardless of
-                            # how much the local signal has already been
-                            # attenuated. The physical leak direction is kept.
-                            target = x_lin * self.nominal_power_mw
-                            with np.errstate(divide="ignore", invalid="ignore"):
-                                scale = np.where(
-                                    born > 0.0, np.sqrt(target / born), 0.0
-                                )
-                            leak2 = leak2 * scale
-                            born = np.where(born > 0.0, target, 0.0)
-                        slot = next(spawn_slots)
-                        leaks[r : r + 2, slot] = leak2.reshape(
-                            leaks[r : r + 2, slot].shape
-                        )
-                        sources[slot] = (self.layer_index, mzi_index)
-                        birth_power[slot] = born.reshape(
-                            np.shape(birth_power[slot])
-                        )
-                    else:
-                        _apply_rows(signal, r, t2)
-                    mzi_index += 1
-            if role == "v":
-                screen = np.exp(1j * self.layout.v_screen)
-                self._broadcast(signal, leaks, screen)
-                sig = _sigma_factors(self.layout, self.p, self.mode)
-                self._broadcast(signal, leaks, sig)
-            else:
-                screen = np.exp(1j * self.layout.u_screen)
-                self._broadcast(signal, leaks, screen)
+        for stage in layer:
+            if not isinstance(stage, _Mesh):
+                _scale_ports(signal, stage)
+                continue
+            for r, theta, t2 in zip(
+                stage.rows.tolist(), stage.thetas.tolist(), stage.cells
+            ):
+                leak2, born = splitter.split(signal, r, t2, (m, mzi_index), theta)
+                leaks[r : r + 2, slot] = leak2.reshape(leaks[r : r + 2, slot].shape)
+                birth_power[slot] = born.reshape(np.shape(birth_power[slot]))
+                sources[slot] = (m, mzi_index)
+                slot += 1
+                mzi_index += 1
+        if include_gain:
+            f = _gain(layout)
+            signal *= f
+            gain_lin[:slot] *= f * f
 
-    @staticmethod
-    def _broadcast(signal, leaks, per_port):
-        shape = (len(per_port),) + (1,) * (signal.ndim - 1)
-        signal *= per_port.reshape(shape)
-        if leaks is not None and leaks.shape[1]:
-            leaks *= per_port.reshape((len(per_port),) + (1,) * (leaks.ndim - 1))
+    # suffix = transfer from the current point to the output, leaks excluded.
+    suffix = np.eye(signal.shape[0], dtype=complex)
+    for layout, layer in zip(reversed(layers), reversed(stages)):
+        if include_gain:
+            suffix *= _gain(layout)
+        for stage in reversed(layer):
+            if not isinstance(stage, _Mesh):
+                suffix *= stage
+                continue
+            for r, t2 in zip(stage.rows[::-1].tolist(), stage.cells[::-1]):
+                slot -= 1
+                pair = suffix[:, r : r + 2]
+                at_birth = leaks[r : r + 2, slot].reshape(2, -1)
+                leaks[:, slot] = (pair @ at_birth).reshape(leaks[:, slot].shape)
+                suffix[:, r : r + 2] = pair @ t2
+    return PropagationResult(signal, leaks, sources, birth_power, gain_lin)
 
 
 def _as_field_array(x, n: int) -> np.ndarray:
@@ -304,11 +361,7 @@ def propagate_signal(
     the full device model per placement. Gain/NAU factors only when asked.
     """
     signal = _as_field_array(x, layout.n)
-    engine = _LayerEngine(layout, p, mode)
-    engine.run(signal, leaks=None)
-    if include_gain:
-        signal *= db_to_field(layout.nau_loss_db - layout.gain_db)
-    return signal
+    return _signal_pass([layout], p, signal, mode, include_gain)
 
 
 def propagate_with_crosstalk(
@@ -327,46 +380,16 @@ def propagate_with_crosstalk(
     """Lossy propagation with per-MZI crosstalk injection (single layer)."""
     if resample == "frozen" and frozen is None:
         frozen = freeze_noise([layout], p, rng)
-    signal = _as_field_array(x, layout.n)
-    n_mesh = len(layout.v_mesh) + len(layout.u_mesh)
-    leak_shape = (layout.n, n_mesh) + signal.shape[1:]
-    leaks = np.zeros(leak_shape, dtype=complex)
-    sources: list = [None] * n_mesh
-    birth_power = np.zeros((n_mesh,) + signal.shape[1:])
-    engine = _LayerEngine(
-        layout,
+    splitter = _Splitter(
         p,
-        "lossy",
-        layer_index=layer_index,
         rng=rng,
         frozen=frozen if resample == "frozen" else None,
-        crosstalk=True,
         literal_leak_scalars=literal_leak_scalars,
         leak_birth=leak_birth,
         nominal_power_mw=nominal_power_mw,
     )
-    engine.run(signal, leaks, iter(range(n_mesh)), sources, birth_power)
-    gain_lin = np.ones(n_mesh)
-    if include_gain:
-        f = db_to_field(layout.nau_loss_db - layout.gain_db)
-        signal *= f
-        leaks *= f
-        gain_lin *= f * f
-    return PropagationResult(signal, leaks, sources, birth_power, gain_lin)
-
-
-def layer_metrics(
-    layout: LayerLayout,
-    p: MziParams,
-    x: np.ndarray,
-    rng: Rng | None = None,
-    resample: str = "per_call",
-) -> PropagationResult:
-    """Layer output after OIU, OGU gain, and NAU loss; the gain applies to
-    signal and every crosstalk component alike."""
-    return propagate_with_crosstalk(
-        layout, p, x, rng=rng, resample=resample, include_gain=True
-    )
+    signal = _as_field_array(x, layout.n)
+    return _crosstalk_pass([layout], splitter, signal, include_gain, layer_index)
 
 
 def network_cascade(
@@ -381,10 +404,10 @@ def network_cascade(
 
     Leaks born in layer m traverse layers m+1..M in lossy mode (including
     each traversed layer's gain and NAU factors) without spawning further
-    leaks. ``leak_birth="nominal"`` books each leak at X times the network
-    launch power instead of X times the local (already attenuated) signal
-    power; that is the power-budget ledger used for network-level crosstalk
-    reporting.
+    leaks; one backward pass maps the leaks of all M layers. ``leak_birth=
+    "nominal"`` books each leak at X times the network launch power instead
+    of X times the local (already attenuated) signal power; that is the
+    power-budget ledger used for network-level crosstalk reporting.
     """
     if x is None:
         x = spec.launch_field()
@@ -392,39 +415,19 @@ def network_cascade(
     frozen = None
     if resample == "frozen":
         frozen = freeze_noise(spec.layers, spec.params, rng)
-
-    per_layer = [len(lay.v_mesh) + len(lay.u_mesh) for lay in spec.layers]
-    k_total = sum(per_layer) if crosstalk else 0
-    leaks = np.zeros((spec.n, k_total) + signal.shape[1:], dtype=complex)
-    sources: list = [None] * k_total
-    birth_power = np.zeros((k_total,) + signal.shape[1:])
-    gain_lin = np.ones(k_total)
-
-    offset = 0
-    for m, layout in enumerate(spec.layers):
-        engine = _LayerEngine(
-            layout,
-            spec.params,
-            "lossy",
-            layer_index=m,
-            rng=rng,
-            frozen=frozen,
-            crosstalk=crosstalk,
-            leak_birth=leak_birth,
-            nominal_power_mw=dbm_to_mw(spec.input_power_dbm),
-        )
-        if crosstalk:
-            slots = iter(range(offset, offset + per_layer[m]))
-            engine.run(signal, leaks, slots, sources, birth_power)
-            offset += per_layer[m]
-        else:
-            engine.run(signal, leaks=None)
-        f = db_to_field(layout.nau_loss_db - layout.gain_db)
-        signal *= f
-        if crosstalk:
-            leaks[:, :offset] *= f
-            gain_lin[:offset] *= f * f
-    return PropagationResult(signal, leaks, sources, birth_power, gain_lin)
+    splitter = _Splitter(
+        spec.params,
+        rng=rng,
+        frozen=frozen,
+        leak_birth=leak_birth,
+        nominal_power_mw=dbm_to_mw(spec.input_power_dbm),
+    )
+    if not crosstalk:
+        _signal_pass(spec.layers, spec.params, signal, "lossy", include_gain=True)
+        leaks = np.zeros((spec.n, 0) + signal.shape[1:], dtype=complex)
+        birth_power = np.zeros((0,) + signal.shape[1:])
+        return PropagationResult(signal, leaks, [], birth_power, np.ones(0))
+    return _crosstalk_pass(spec.layers, splitter, signal, include_gain=True)
 
 
 # --------------------------------------------------------------------------
@@ -438,14 +441,8 @@ def transfer_matrix(
     include_gain: bool = False,
 ) -> np.ndarray:
     """End-to-end transfer matrix of the cascade (crosstalk off)."""
-    n = layers[0].n
-    t = np.eye(n, dtype=complex)
-    for layout in layers:
-        engine = _LayerEngine(layout, p, mode)
-        engine.run(t, leaks=None)
-        if include_gain:
-            t *= db_to_field(layout.nau_loss_db - layout.gain_db)
-    return t
+    t = np.eye(layers[0].n, dtype=complex)
+    return _signal_pass(layers, p, t, mode, include_gain)
 
 
 def ideal_transfer(layers: list[LayerLayout], p: MziParams) -> np.ndarray:
@@ -529,13 +526,30 @@ def monte_carlo_interference(
     }
 
 
+# Leak-bank bytes resolve_crosstalk_fields turns into phased fields at a
+# time: it bounds the temporaries (phases, magnitudes, phasors), not the bank.
+_RESOLVE_BLOCK_BYTES = 8 * 2**20
+
+
 def resolve_crosstalk_fields(
     result: PropagationResult, rng: Rng
 ) -> np.ndarray:
     """Add every leak field to the signal with an independent random phase
-    per (component, port[, sample]); used by inference-accuracy forwards."""
+    per (port, component[, sample]); used by inference-accuracy forwards.
+
+    The bank is resolved in blocks of port rows. The phases are drawn
+    block by block in row order, which consumes the stream exactly as one
+    draw of the bank's full shape does, so the result does not depend on
+    the block size."""
     leaks = result.leak_fields
     if leaks.shape[1] == 0:
         return result.signal.copy()
-    rho = rng.uniform(0.0, 2.0 * math.pi, size=leaks.shape)
-    return result.signal + np.sum(np.abs(leaks) * np.exp(1j * rho), axis=1)
+    rows = max(1, _RESOLVE_BLOCK_BYTES // leaks[0].nbytes)
+    out = np.empty(result.signal.shape, dtype=complex)
+    for lo in range(0, leaks.shape[0], rows):
+        block = leaks[lo : lo + rows]
+        rho = rng.uniform(0.0, 2.0 * math.pi, size=block.shape)
+        out[lo : lo + rows] = result.signal[lo : lo + rows] + np.sum(
+            np.abs(block) * np.exp(1j * rho), axis=1
+        )
+    return out

@@ -1,5 +1,11 @@
-"""Shared test plumbing: a recorder that prints one PASS/FAIL line per
-acceptance criterion in the terminal summary."""
+"""Shared test plumbing: a derandomized hypothesis profile, so every run
+of the property tests tries the same examples, and a recorder that prints
+one PASS/FAIL line per acceptance criterion in the terminal summary."""
+
+from hypothesis import settings
+
+settings.register_profile("spnn", derandomize=True, deadline=None)
+settings.load_profile("spnn")
 
 _CRITERION_LINES: list[tuple[int, str]] = []
 

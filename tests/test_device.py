@@ -13,6 +13,7 @@ from spnn.device import (
     PhasePair,
     crosstalk_coefficient,
     crosstalk_mean_db,
+    mzi_cells,
     mzi_transfer,
     mzi_with_crosstalk,
     output_insertion_loss,
@@ -45,6 +46,18 @@ def test_bar_state_routes_i1_to_o1():
 def test_lossless_transfer_is_unitary(theta, phi):
     t = mzi_transfer(LOSSLESS, PhasePair(theta, phi))
     assert unitarity_residual(t) < 1e-10
+
+
+def test_mzi_cells_on_arrays_equal_per_mzi_transfer():
+    r = Rng(3)
+    theta = r.uniform(0.0, math.pi, (4, 5))
+    phi = r.uniform(0.0, 2.0 * math.pi, (4, 5))
+    p = MziParams(kappa1=0.45, alpha_m_db=0.3)
+    cells = mzi_cells(p, theta, phi)
+    assert cells.shape == (4, 5, 2, 2)
+    for idx in np.ndindex(theta.shape):
+        t = mzi_transfer(p, PhasePair(float(theta[idx]), float(phi[idx])))
+        assert cells[idx].tobytes() == t.tobytes()
 
 
 def test_lossy_transfer_is_subunitary():

@@ -15,6 +15,7 @@ from spnn.mesh import (
     layout_from_json,
     layout_to_json,
     lossless_cell,
+    lossless_cells,
 )
 from spnn.numerics import Rng, random_unitary
 
@@ -68,6 +69,16 @@ def test_lossless_cell_matches_reconstruction_convention():
     assert np.max(np.abs(cell @ cell.conj().T - np.eye(2))) < 1e-12
     assert abs(cell[0, 0]) == pytest.approx(math.sin(theta / 2.0))
     assert abs(cell[0, 1]) == pytest.approx(math.cos(theta / 2.0))
+
+
+def test_lossless_cells_on_arrays_equal_per_cell():
+    r = Rng(4)
+    theta = r.uniform(0.0, math.pi, 9)
+    phi = r.uniform(0.0, 2.0 * math.pi, 9)
+    cells = lossless_cells(theta, phi)
+    assert cells.shape == (9, 2, 2)
+    for k in range(9):
+        assert cells[k].tobytes() == lossless_cell(theta[k], phi[k]).tobytes()
 
 
 def test_diagonal_to_attenuators_normalizes_to_unity():
