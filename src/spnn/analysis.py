@@ -36,6 +36,7 @@ from spnn.numerics import Rng, mw_to_dbm, power_to_db
 from spnn.propagation import (
     NetworkSpec,
     PropagationResult,
+    _port_ratios,
     network_cascade,
     propagate_signal,
     propagate_with_crosstalk,
@@ -154,7 +155,8 @@ def _il_ratios(
     x: np.ndarray,
     include_gain: bool,
 ) -> np.ndarray:
-    """Per-port lossy/ideal output power ratios for one input field."""
+    """Per-port lossy/ideal output power ratios for one input field; NaN on
+    a port the ideal network leaves dark."""
     lossy = x.copy()
     ideal = x.copy()
     for layout in layers:
@@ -162,12 +164,28 @@ def _il_ratios(
             layout, p, lossy, mode="lossy", include_gain=include_gain
         )
         ideal = propagate_signal(layout, p, ideal, mode="ideal")
-    return np.abs(lossy) ** 2 / np.abs(ideal) ** 2
+    input_pow = np.sum(np.abs(x) ** 2)
+    return _port_ratios(np.abs(lossy) ** 2, np.abs(ideal) ** 2, input_pow)
 
 
 # --------------------------------------------------------------------------
 # Ensemble statistics
 # --------------------------------------------------------------------------
+
+def _layer_trial(
+    n: int, p: MziParams, seed: int, launch_mw: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One single-layer trial: a random weight matrix and a random-phase
+    input of ``launch_mw`` per port, both drawn from ``Rng(seed)``. Returns
+    the per-port IL ratios (no gain) and the physical leak amplitudes
+    (n, K)."""
+    r = Rng(seed)
+    layout = compile_layer(r.standard_normal((n, n)))
+    x = random_phase_input(n, r) * math.sqrt(launch_mw)
+    ratios = _il_ratios([layout], p, x, include_gain=False)
+    res = propagate_with_crosstalk(layout, p, x, rng=r, include_gain=False)
+    return ratios, np.abs(res.leak_fields)
+
 
 def layer_statistics(
     n: int,
@@ -186,13 +204,8 @@ def layer_statistics(
     xp_mean = []
     xp_aligned = []
     for i in range(trials):
-        r = Rng(seed + i)
-        w = r.standard_normal((n, n))
-        layout = compile_layer(w)
-        x = random_phase_input(n, r)
-        ratios.append(_il_ratios([layout], p, x, include_gain=False))
-        res = propagate_with_crosstalk(layout, p, x, rng=r, include_gain=False)
-        amps = np.abs(res.leak_fields)  # (n, K)
+        ratio, amps = _layer_trial(n, p, seed + i, launch_mw=1.0)
+        ratios.append(ratio)
         xp_mean.append(np.sum(amps**2, axis=1))
         xp_aligned.append(np.sum(amps, axis=1) ** 2)
     ratios = np.concatenate(ratios)

@@ -22,14 +22,13 @@ import numpy as np
 from spnn.analysis import (
     EXPECTED_ALPHA_RANGES,
     ComplexMlp,
-    _il_ratios,
+    _layer_trial,
     accuracy_eval,
     crosstalk_grid,
     joint_loss_sample,
     loss_sweep,
     network_statistics,
     penalty_statistics,
-    random_phase_input,
     tolerance_search,
     train_reference,
 )
@@ -43,7 +42,8 @@ from spnn.data import FeatureDataset, build_default_dataset, featurize, ingest_i
 from spnn.device import PhasePair, crosstalk_mean_db, mzi_transfer, output_insertion_loss
 from spnn.mesh import compile_layer, layout_to_json
 from spnn.numerics import Rng, mw_to_dbm, power_to_db
-from spnn.propagation import propagate_with_crosstalk
+# Not called here; perfbench/test_perfbench.py checks its tracer wraps it here.
+from spnn.propagation import propagate_with_crosstalk  # noqa: F401
 
 __all__ = ["main", "emit_csv", "run_experiment"]
 
@@ -185,18 +185,12 @@ def _quartiles(samples: np.ndarray) -> list[float]:
 def _cmd_layer_stats(cfg, out_dir):
     p = cfg.mzi_params()
     launch_mw = 10.0 ** (cfg.launch_power_dbm / 10.0)
-    il_samples = [[] for _ in range(cfg.n)]
-    xp_samples = [[] for _ in range(cfg.n)]
+    il_db, xp_dbm = [], []
     for i in range(cfg.trials):
-        r = Rng(cfg.seed + i)
-        layout = compile_layer(r.standard_normal((cfg.n, cfg.n)))
-        x = random_phase_input(cfg.n, r) * math.sqrt(launch_mw)
-        il_db = power_to_db(_il_ratios([layout], p, x, include_gain=False))
-        res = propagate_with_crosstalk(layout, p, x, rng=r, include_gain=False)
-        xp_dbm = mw_to_dbm(np.sum(np.abs(res.leak_fields) ** 2, axis=1))
-        for port in range(cfg.n):
-            il_samples[port].append(float(il_db[port]))
-            xp_samples[port].append(float(xp_dbm[port]))
+        ratios, amps = _layer_trial(cfg.n, p, cfg.seed + i, launch_mw)
+        il_db.append(power_to_db(ratios))
+        xp_dbm.append(mw_to_dbm(np.sum(amps**2, axis=1)))
+    il_db, xp_dbm = np.array(il_db).T, np.array(xp_dbm).T  # (port, trial)
     header = ["port"]
     for prefix in ("il", "xp"):
         unit = "db" if prefix == "il" else "dbm"
@@ -204,13 +198,10 @@ def _cmd_layer_stats(cfg, out_dir):
             f"{prefix}_{stat}_{unit}"
             for stat in ("min", "q1", "median", "q3", "max", "mean")
         ]
-    rows = []
-    for port in range(cfg.n):
-        rows.append(
-            [port]
-            + _quartiles(np.array(il_samples[port]))
-            + _quartiles(np.array(xp_samples[port]))
-        )
+    rows = [
+        [port] + _quartiles(il_db[port]) + _quartiles(xp_dbm[port])
+        for port in range(cfg.n)
+    ]
     return header, rows
 
 

@@ -34,7 +34,7 @@ OUT_DIR_ENV = "SPNN_OUT_DIR"
 class ExperimentConfig:
     """All experiment knobs, with reference-fabrication defaults."""
 
-    # Device parameters.
+    # Device parameters: every MziParams field, with its default.
     kappa1: float = 0.5
     kappa2: float = 0.5
     alpha_l_db: float = 0.1
@@ -138,15 +138,7 @@ class ExperimentConfig:
 
     def mzi_params(self) -> MziParams:
         return MziParams(
-            kappa1=self.kappa1,
-            kappa2=self.kappa2,
-            alpha_l_db=self.alpha_l_db,
-            alpha_m_db=self.alpha_m_db,
-            alpha_p_db_per_cm=self.alpha_p_db_per_cm,
-            l_mzi_um=self.l_mzi_um,
-            xb_db=self.xb_db,
-            xc_db=self.xc_db,
-            xtalk_sigma_frac=self.xtalk_sigma_frac,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(MziParams)}
         )
 
     def to_mapping(self) -> dict:

@@ -304,6 +304,8 @@ def compile_layer(
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"compile_layer expects a square matrix, got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights contain NaN or inf")
     u, s, vh = svd(w)
     u_mesh, u_screen = clements_decompose(u, role=ROLE_U)
     v_mesh, v_screen = clements_decompose(vh, role=ROLE_V)

@@ -17,7 +17,6 @@ __all__ = [
     "power_to_db",
     "mw_to_dbm",
     "dbm_to_mw",
-    "matmul",
     "svd",
     "is_unitary",
     "fft2d",
@@ -117,17 +116,6 @@ class Rng:
 # --------------------------------------------------------------------------
 # Linear algebra
 # --------------------------------------------------------------------------
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product with explicit dimension checking."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
 
 def svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD of a square complex matrix: ``w = U @ diag(S) @ Vh``.

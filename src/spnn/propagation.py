@@ -27,22 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.device import (
-    MziParams,
-    crosstalk_coefficient,
-    crosstalk_mean_db,
-    mzi_cells,
-    mzi_transfer,
-)
+from spnn.device import MziParams, crosstalk_coefficient, mzi_cells, mzi_transfer
 from spnn.mesh import LayerLayout, MziPlacement, lossless_cells
 from spnn.numerics import Rng, db_to_field, dbm_to_mw, power_to_db
 
 __all__ = [
-    "CrosstalkComponent",
     "PropagationResult",
     "NetworkSpec",
-    "FrozenNoise",
-    "freeze_noise",
     "propagate_signal",
     "propagate_with_crosstalk",
     "network_cascade",
@@ -55,20 +46,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrosstalkComponent:
-    """A first-order leaked field observed on one output port."""
-
-    source: tuple[int, int]  # (layer index, mesh MZI index within the layer)
-    port: int
-    amplitude: float  # field units, includes all downstream loss and gain
-    rho: float | None = None  # phase, assigned only at interference time
-
-    def __post_init__(self):
-        if not np.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ValueError(f"component amplitude invalid: {self.amplitude}")
-
-
 @dataclass
 class PropagationResult:
     """Signal plus tracked leak fields at a measurement point.
@@ -79,29 +56,9 @@ class PropagationResult:
 
     signal: np.ndarray
     leak_fields: np.ndarray
-    sources: list[tuple[int, int]]
+    sources: list[tuple[int, int]]  # (layer, light-order mesh MZI index)
     birth_power: np.ndarray  # (K,) or (K, S): total leak power at spawn time
     gain_lin: np.ndarray  # (K,) power gain applied to each leak after birth
-    per_port_il_db: np.ndarray | None = None
-    per_port_xp_dbm: np.ndarray | None = None
-
-    @property
-    def n_components(self) -> int:
-        return self.leak_fields.shape[1]
-
-    def components(self) -> list[CrosstalkComponent]:
-        """Flatten to one component per (source MZI, output port)."""
-        amps = np.abs(self.leak_fields)
-        if amps.ndim != 2:
-            raise ValueError("components() expects an unbatched result")
-        return [
-            CrosstalkComponent(self.sources[k], port, float(amps[port, k]))
-            for k in range(amps.shape[1])
-            for port in range(amps.shape[0])
-        ]
-
-    def port_amplitudes(self) -> np.ndarray:
-        return np.sqrt(crosstalk_power_matrix(self))
 
 
 @dataclass
@@ -132,28 +89,6 @@ class NetworkSpec:
         """Equal-phase field with input_power_dbm per port."""
         amp = math.sqrt(dbm_to_mw(self.input_power_dbm))
         return np.full(self.n, amp, dtype=complex)
-
-
-class FrozenNoise:
-    """Per-MZI crosstalk draws fixed once, keyed by (layer, mzi index)."""
-
-    def __init__(self, draws: dict[tuple[int, int], float]):
-        self.draws = draws
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        return self.draws[key]
-
-
-def freeze_noise(
-    layers: list[LayerLayout], p: MziParams, rng: Rng | None
-) -> FrozenNoise:
-    """Draw one crosstalk coefficient per mesh MZI; rng=None freezes the
-    deterministic theta-dependent mean."""
-    draws = {}
-    for m, layout in enumerate(layers):
-        for j, pl in enumerate(list(layout.v_mesh) + list(layout.u_mesh)):
-            draws[(m, j)] = crosstalk_coefficient(p, pl.phases.theta, rng)
-    return FrozenNoise(draws)
 
 
 # --------------------------------------------------------------------------
@@ -238,65 +173,51 @@ def _signal_pass(
     return signal
 
 
-@dataclass(frozen=True)
-class _Splitter:
-    """How each mesh MZI splits its output into routed signal and leak."""
+def _nominal_mw(leak_birth: str, launch_mw: float) -> float | None:
+    """The power a newborn leak is booked at per unit X: the launch power
+    for the power-budget ledger, None for the physical leak."""
+    if leak_birth not in ("physical", "nominal"):
+        raise ValueError(f"unknown leak_birth {leak_birth!r}")
+    return launch_mw if leak_birth == "nominal" else None
 
-    p: MziParams
-    rng: Rng | None = None
-    frozen: FrozenNoise | None = None
-    literal_leak_scalars: bool = False
-    leak_birth: str = "physical"
-    nominal_power_mw: float = 1.0
 
-    def __post_init__(self):
-        if self.leak_birth not in ("physical", "nominal"):
-            raise ValueError(f"unknown leak_birth {self.leak_birth!r}")
-
-    def split(self, signal: np.ndarray, r: int, t2: np.ndarray, key, theta):
-        """Draws X for the MZI ``key`` = (layer, mzi index), routes rows r,
-        r+1 of ``signal`` through ``t2`` in place, and returns the newborn
-        leak (2, B) and its power per sample (B,)."""
-        if self.frozen is not None:
-            x_db = self.frozen[key]
-        elif self.rng is None:
-            x_db = crosstalk_mean_db(self.p, theta)
-        else:
-            x_db = crosstalk_coefficient(self.p, theta, self.rng)
-        x_lin = 10.0 ** (x_db / 10.0)
-        if self.literal_leak_scalars:
-            sig_f, leak_f = 1.0 - x_lin, x_lin
-        else:
-            sig_f, leak_f = math.sqrt(1.0 - x_lin), math.sqrt(x_lin)
-        sub = signal[r : r + 2].reshape(2, -1)
-        routed = t2 @ sub
-        leak2 = leak_f * (t2[::-1, :] @ sub)
-        signal[r : r + 2] = (sig_f * routed).reshape(signal[r : r + 2].shape)
-        born = np.sum(np.abs(leak2) ** 2, axis=0)
-        if self.leak_birth == "nominal":
-            # Power-budget ledger: every leak is booked at X times the
-            # nominal launch power, regardless of how much the local signal
-            # has already been attenuated. The physical leak direction is
-            # kept.
-            target = x_lin * self.nominal_power_mw
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(born > 0.0, np.sqrt(target / born), 0.0)
-            leak2 = leak2 * scale
-            born = np.where(born > 0.0, target, 0.0)
-        return leak2, born
+def _split(signal: np.ndarray, r: int, t2: np.ndarray, x_db: float, nominal_mw):
+    """Routes rows r, r+1 of ``signal`` through ``t2`` in place, keeping
+    sqrt(1-X) of the field; returns the newborn leak (2, B) and its power per
+    sample (B,), booked at X * ``nominal_mw`` unless that is None."""
+    x_lin = 10.0 ** (x_db / 10.0)
+    sub = signal[r : r + 2].reshape(2, -1)
+    routed = t2 @ sub
+    leak2 = math.sqrt(x_lin) * (t2[::-1, :] @ sub)
+    signal[r : r + 2] = (math.sqrt(1.0 - x_lin) * routed).reshape(
+        signal[r : r + 2].shape
+    )
+    born = np.sum(np.abs(leak2) ** 2, axis=0)
+    if nominal_mw is not None:
+        # Power-budget ledger: every leak is booked at X times the nominal
+        # launch power, regardless of how much the local signal has already
+        # been attenuated. The physical leak direction is kept.
+        target = x_lin * nominal_mw
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(born > 0.0, np.sqrt(target / born), 0.0)
+        leak2 = leak2 * scale
+        born = np.where(born > 0.0, target, 0.0)
+    return leak2, born
 
 
 def _crosstalk_pass(
     layers: list[LayerLayout],
-    splitter: _Splitter,
+    p: MziParams,
     signal: np.ndarray,
+    rng: Rng | None,
+    nominal_mw: float | None,
     include_gain: bool,
-    first_layer: int = 0,
 ) -> PropagationResult:
     """Lossy propagation with first-order leaks: a forward pass that moves
-    the signal and records every leak at birth, then one backward pass that
-    maps every leak to the output through the running suffix transfer."""
-    stages = [_stages(layout, splitter.p, "lossy") for layout in layers]
+    the signal, draws X per mesh MZI in light order and records every leak
+    at birth, then one backward pass that maps every leak to the output
+    through the running suffix transfer."""
+    stages = [_stages(layout, p, "lossy") for layout in layers]
     k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
     leaks = np.zeros((signal.shape[0], k_total) + signal.shape[1:], dtype=complex)
     sources: list = [None] * k_total
@@ -304,8 +225,8 @@ def _crosstalk_pass(
     gain_lin = np.ones(k_total)
 
     slot = 0
-    for m, (layout, layer) in enumerate(zip(layers, stages), start=first_layer):
-        mzi_index = 0
+    for m, (layout, layer) in enumerate(zip(layers, stages)):
+        first = slot
         for stage in layer:
             if not isinstance(stage, _Mesh):
                 _scale_ports(signal, stage)
@@ -313,12 +234,12 @@ def _crosstalk_pass(
             for r, theta, t2 in zip(
                 stage.rows.tolist(), stage.thetas.tolist(), stage.cells
             ):
-                leak2, born = splitter.split(signal, r, t2, (m, mzi_index), theta)
+                x_db = crosstalk_coefficient(p, theta, rng)
+                leak2, born = _split(signal, r, t2, x_db, nominal_mw)
                 leaks[r : r + 2, slot] = leak2.reshape(leaks[r : r + 2, slot].shape)
                 birth_power[slot] = born.reshape(np.shape(birth_power[slot]))
-                sources[slot] = (m, mzi_index)
+                sources[slot] = (m, slot - first)
                 slot += 1
-                mzi_index += 1
         if include_gain:
             f = _gain(layout)
             signal *= f
@@ -369,34 +290,20 @@ def propagate_with_crosstalk(
     p: MziParams,
     x: np.ndarray,
     rng: Rng | None = None,
-    resample: str = "per_call",
-    frozen: FrozenNoise | None = None,
     include_gain: bool = False,
-    layer_index: int = 0,
-    literal_leak_scalars: bool = False,
     leak_birth: str = "physical",
     nominal_power_mw: float = 1.0,
 ) -> PropagationResult:
     """Lossy propagation with per-MZI crosstalk injection (single layer)."""
-    if resample == "frozen" and frozen is None:
-        frozen = freeze_noise([layout], p, rng)
-    splitter = _Splitter(
-        p,
-        rng=rng,
-        frozen=frozen if resample == "frozen" else None,
-        literal_leak_scalars=literal_leak_scalars,
-        leak_birth=leak_birth,
-        nominal_power_mw=nominal_power_mw,
-    )
+    nominal_mw = _nominal_mw(leak_birth, nominal_power_mw)
     signal = _as_field_array(x, layout.n)
-    return _crosstalk_pass([layout], splitter, signal, include_gain, layer_index)
+    return _crosstalk_pass([layout], p, signal, rng, nominal_mw, include_gain)
 
 
 def network_cascade(
     spec: NetworkSpec,
     x: np.ndarray | None = None,
     rng: Rng | None = None,
-    resample: str = "per_call",
     crosstalk: bool = True,
     leak_birth: str = "physical",
 ) -> PropagationResult:
@@ -412,22 +319,15 @@ def network_cascade(
     if x is None:
         x = spec.launch_field()
     signal = _as_field_array(x, spec.n)
-    frozen = None
-    if resample == "frozen":
-        frozen = freeze_noise(spec.layers, spec.params, rng)
-    splitter = _Splitter(
-        spec.params,
-        rng=rng,
-        frozen=frozen,
-        leak_birth=leak_birth,
-        nominal_power_mw=dbm_to_mw(spec.input_power_dbm),
-    )
+    nominal_mw = _nominal_mw(leak_birth, dbm_to_mw(spec.input_power_dbm))
     if not crosstalk:
         _signal_pass(spec.layers, spec.params, signal, "lossy", include_gain=True)
         leaks = np.zeros((spec.n, 0) + signal.shape[1:], dtype=complex)
         birth_power = np.zeros((0,) + signal.shape[1:])
         return PropagationResult(signal, leaks, [], birth_power, np.ones(0))
-    return _crosstalk_pass(spec.layers, splitter, signal, include_gain=True)
+    return _crosstalk_pass(
+        spec.layers, spec.params, signal, rng, nominal_mw, include_gain=True
+    )
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +361,18 @@ def insertion_loss_per_port(
     ideal = transfer_matrix(layers, p, mode="ideal", include_gain=False)
     lossy_pow = np.sum(np.abs(lossy) ** 2, axis=1)
     ideal_pow = np.sum(np.abs(ideal) ** 2, axis=1)
-    return power_to_db(lossy_pow / ideal_pow)
+    # Row powers are the outputs for unit power on each of the n inputs.
+    return power_to_db(_port_ratios(lossy_pow, ideal_pow, layers[0].n))
+
+
+def _port_ratios(lossy_pow, ideal_pow, input_pow: float) -> np.ndarray:
+    """Per-port lossy/ideal output power ratios. A port whose ideal power is
+    below 1e-20 of the input power is dark: its ratio means nothing and is
+    NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = lossy_pow / ideal_pow
+    ratios[ideal_pow < 1e-20 * input_pow] = np.nan
+    return ratios
 
 
 def crosstalk_power_matrix(result: PropagationResult) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from spnn.device import MziParams, crosstalk_coefficient, crosstalk_mean_db, mzi_transfer
 from spnn.mesh import LayerLayout, MziPlacement, lossless_cell
 from spnn.numerics import Rng, db_to_field, dbm_to_mw
-from spnn.propagation import FrozenNoise, NetworkSpec, PropagationResult, freeze_noise
+from spnn.propagation import NetworkSpec, PropagationResult
 
 
 # --------------------------------------------------------------------------
@@ -56,9 +56,7 @@ class _LayerEngine:
         mode: str,
         layer_index: int = 0,
         rng: Rng | None = None,
-        frozen: FrozenNoise | None = None,
         crosstalk: bool = False,
-        literal_leak_scalars: bool = False,
         leak_birth: str = "physical",
         nominal_power_mw: float = 1.0,
     ):
@@ -71,9 +69,7 @@ class _LayerEngine:
         self.mode = mode
         self.layer_index = layer_index
         self.rng = rng
-        self.frozen = frozen
         self.crosstalk = crosstalk
-        self.literal = literal_leak_scalars
         self.leak_birth = leak_birth
         self.nominal_power_mw = nominal_power_mw
         self._cell_cache: dict[tuple[float, float], np.ndarray] = {}
@@ -87,9 +83,7 @@ class _LayerEngine:
                 self._cell_cache[key] = mzi_transfer(self.p, phases)
         return self._cell_cache[key]
 
-    def _draw_x(self, mzi_index: int, theta: float) -> float:
-        if self.frozen is not None:
-            return self.frozen[(self.layer_index, mzi_index)]
+    def _draw_x(self, theta: float) -> float:
         if self.rng is None:
             return crosstalk_mean_db(self.p, theta)
         return crosstalk_coefficient(self.p, theta, self.rng)
@@ -106,13 +100,10 @@ class _LayerEngine:
                     if leaks is not None and leaks.shape[1]:
                         _apply_rows(leaks, r, t2)
                     if self.crosstalk:
-                        x_db = self._draw_x(mzi_index, pl.phases.theta)
+                        x_db = self._draw_x(pl.phases.theta)
                         x_lin = 10.0 ** (x_db / 10.0)
-                        if self.literal:
-                            sig_f, leak_f = 1.0 - x_lin, x_lin
-                        else:
-                            sig_f = math.sqrt(1.0 - x_lin)
-                            leak_f = math.sqrt(x_lin)
+                        sig_f = math.sqrt(1.0 - x_lin)
+                        leak_f = math.sqrt(x_lin)
                         sub = signal[r : r + 2].reshape(2, -1)
                         routed = t2 @ sub
                         leak2 = leak_f * (t2[::-1, :] @ sub)
@@ -191,17 +182,11 @@ def propagate_with_crosstalk(
     p: MziParams,
     x: np.ndarray,
     rng: Rng | None = None,
-    resample: str = "per_call",
-    frozen: FrozenNoise | None = None,
     include_gain: bool = False,
-    layer_index: int = 0,
-    literal_leak_scalars: bool = False,
     leak_birth: str = "physical",
     nominal_power_mw: float = 1.0,
 ) -> PropagationResult:
     """Lossy propagation with per-MZI crosstalk injection (single layer)."""
-    if resample == "frozen" and frozen is None:
-        frozen = freeze_noise([layout], p, rng)
     signal = _as_field_array(x, layout.n)
     n_mesh = len(layout.v_mesh) + len(layout.u_mesh)
     leak_shape = (layout.n, n_mesh) + signal.shape[1:]
@@ -212,11 +197,8 @@ def propagate_with_crosstalk(
         layout,
         p,
         "lossy",
-        layer_index=layer_index,
         rng=rng,
-        frozen=frozen if resample == "frozen" else None,
         crosstalk=True,
-        literal_leak_scalars=literal_leak_scalars,
         leak_birth=leak_birth,
         nominal_power_mw=nominal_power_mw,
     )
@@ -251,7 +233,6 @@ def network_cascade(
     spec: NetworkSpec,
     x: np.ndarray | None = None,
     rng: Rng | None = None,
-    resample: str = "per_call",
     crosstalk: bool = True,
     leak_birth: str = "physical",
 ) -> PropagationResult:
@@ -267,9 +248,6 @@ def network_cascade(
     if x is None:
         x = spec.launch_field()
     signal = _as_field_array(x, spec.n)
-    frozen = None
-    if resample == "frozen":
-        frozen = freeze_noise(spec.layers, spec.params, rng)
 
     per_layer = [len(lay.v_mesh) + len(lay.u_mesh) for lay in spec.layers]
     k_total = sum(per_layer) if crosstalk else 0
@@ -286,7 +264,6 @@ def network_cascade(
             "lossy",
             layer_index=m,
             rng=rng,
-            frozen=frozen,
             crosstalk=crosstalk,
             leak_birth=leak_birth,
             nominal_power_mw=dbm_to_mw(spec.input_power_dbm),

@@ -10,6 +10,7 @@ import pytest
 from spnn.analysis import (
     EXPECTED_ALPHA_RANGES,
     ComplexMlp,
+    _il_ratios,
     _loss_and_grads,
     accuracy_eval,
     loss_sweep,
@@ -23,7 +24,12 @@ from spnn.data import FeatureDataset
 from spnn.device import MziParams
 from spnn.mesh import compile_layer
 from spnn.numerics import Rng
-from spnn.propagation import NetworkSpec, network_cascade
+from spnn.propagation import (
+    NetworkSpec,
+    insertion_loss_per_port,
+    network_cascade,
+    propagate_signal,
+)
 
 
 def _toy_two_class(n_per=40, seed=3):
@@ -178,3 +184,24 @@ def test_network_statistics_shape_and_reproducibility():
     b = network_statistics(4, 1, p, trials=3, seed=5)
     assert a == b
     assert a.n == 4 and a.m == 1 and a.trials == 3
+
+
+def test_dark_ideal_port_has_nan_insertion_loss():
+    """diag(1, 0) leaves port 1 dark in the ideal network: its IL is NaN,
+    not a ratio against an ideal power of ~1e-33, and port 0 is unchanged."""
+    p = MziParams()
+    layout = compile_layer(np.diag([1.0, 0.0]))
+    spec = NetworkSpec([layout], p)
+    x = spec.launch_field()
+    for gain in (False, True):
+        ratios = _il_ratios([layout], p, x, include_gain=gain)
+        lossy = propagate_signal(layout, p, x, "lossy", include_gain=gain)
+        ideal = propagate_signal(layout, p, x, "ideal")
+        assert np.isnan(ratios[1])
+        assert ratios[0] == np.abs(lossy[0]) ** 2 / np.abs(ideal[0]) ** 2
+    il = insertion_loss_per_port([layout], p)
+    assert np.isnan(il[1]) and np.isfinite(il[0])
+    res = network_cascade(spec, x, rng=Rng(1), leak_birth="nominal")
+    report = power_penalty(spec, res, x=x)
+    assert np.isnan(report.il_db[1]) and np.isnan(report.per_port_penalty_dbm[1])
+    assert np.isfinite(report.per_port_penalty_dbm[0])

@@ -1,6 +1,7 @@
 """CLI tests: strict config handling, CSV emission round trips, and
 byte-identical reproducibility of command outputs."""
 
+import dataclasses
 import json
 import os
 
@@ -16,6 +17,7 @@ from spnn.config import (
     load_config,
     resolve_out_dir,
 )
+from spnn.device import MziParams
 
 
 def test_defaults_match_reference_parameters():
@@ -31,6 +33,14 @@ def test_defaults_match_reference_parameters():
     assert cfg.nau_loss_db == 1.0
     assert cfg.launch_power_dbm == 0.0
     assert cfg.sensitivity_dbm == -11.7
+
+
+def test_config_carries_every_device_parameter_with_its_default():
+    cfg_fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    for f in dataclasses.fields(MziParams):
+        assert f.name in cfg_fields, f"MziParams.{f.name} has no config key"
+        assert cfg_fields[f.name].default == f.default
+    assert ExperimentConfig(xb_db=-30.0).mzi_params() == MziParams(xb_db=-30.0)
 
 
 def test_empty_config_file_gives_defaults(tmp_path):
@@ -143,6 +153,14 @@ def test_layer_stats_reproducible_from_seed(tmp_path):
 def test_cli_error_exit_code(tmp_path, capsys):
     assert main(["device-sweep", "--set", "bogus=1", "--out", str(tmp_path)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_compile_names_non_finite_weights(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text('{"real": [[1.0, NaN], [0.5, 2.0]]}')
+    args = ["compile", "--set", "weight_source=file", "--set", f"weight_file={path}"]
+    assert main(args + ["--out", str(tmp_path / "c")]) == 2
+    assert "weights contain NaN or inf" in capsys.readouterr().err
 
 
 def test_compile_emits_layout(tmp_path):

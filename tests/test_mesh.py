@@ -106,6 +106,14 @@ def test_compile_layer_rejects_non_square():
         compile_layer(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compile_layer_rejects_non_finite_weights(bad):
+    w = Rng(3).standard_normal((4, 4))
+    w[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        compile_layer(w)
+
+
 def test_layout_json_round_trip():
     w = Rng(5).standard_normal((4, 4)) + 1j * Rng(6).standard_normal((4, 4))
     layout = compile_layer(w, gain_db=12.0, nau_loss_db=0.5)

@@ -14,7 +14,6 @@ from spnn.numerics import (
     fft2d,
     ifft2d,
     is_unitary,
-    matmul,
     mw_to_dbm,
     power_to_db,
     random_unitary,
@@ -63,7 +62,7 @@ def test_matmul_against_triple_loop(shape):
     rng = Rng(1)
     a = rng.standard_normal(shape[:2]) + 1j * rng.standard_normal(shape[:2])
     b = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
-    np.testing.assert_allclose(matmul(a, b), _triple_loop_matmul(a, b), atol=1e-12)
+    np.testing.assert_allclose(a @ b, _triple_loop_matmul(a, b), atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (8, 8)])

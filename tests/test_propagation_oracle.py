@@ -69,18 +69,17 @@ def _assert_agrees(res, ref):
     samples=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 10_000),
     rng_seed=st.one_of(st.none(), st.integers(0, 10_000)),
-    resample=st.sampled_from(["per_call", "frozen"]),
     leak_birth=st.sampled_from(["physical", "nominal"]),
     crosstalk=st.booleans(),
     params=st.sampled_from(PARAMS),
     launch=st.booleans(),
 )
 def test_network_cascade_matches_forward_push_oracle(
-    n, m, samples, seed, rng_seed, resample, leak_birth, crosstalk, params, launch
+    n, m, samples, seed, rng_seed, leak_birth, crosstalk, params, launch
 ):
     spec = NetworkSpec(_layers(n, m, seed), params, input_power_dbm=1.5)
     x = None if launch else _field(n, samples, seed)
-    kwargs = dict(resample=resample, crosstalk=crosstalk, leak_birth=leak_birth)
+    kwargs = dict(crosstalk=crosstalk, leak_birth=leak_birth)
     res = network_cascade(spec, x, rng=_rng(rng_seed), **kwargs)
     ref = oracle.network_cascade(spec, x, rng=_rng(rng_seed), **kwargs)
     _assert_agrees(res, ref)
@@ -92,39 +91,20 @@ def test_network_cascade_matches_forward_push_oracle(
     samples=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 10_000),
     rng_seed=st.one_of(st.none(), st.integers(0, 10_000)),
-    resample=st.sampled_from(["per_call", "frozen"]),
     leak_birth=st.sampled_from(["physical", "nominal"]),
-    literal=st.booleans(),
     include_gain=st.booleans(),
     params=st.sampled_from(PARAMS),
 )
 def test_propagate_with_crosstalk_matches_forward_push_oracle(
-    n, samples, seed, rng_seed, resample, leak_birth, literal, include_gain, params
+    n, samples, seed, rng_seed, leak_birth, include_gain, params
 ):
     (layout,) = _layers(n, 1, seed)
     x = _field(n, samples, seed)
-    kwargs = dict(
-        resample=resample,
-        include_gain=include_gain,
-        literal_leak_scalars=literal,
-        leak_birth=leak_birth,
-        nominal_power_mw=0.7,
-    )
+    kwargs = dict(include_gain=include_gain, leak_birth=leak_birth, nominal_power_mw=0.7)
     res = propagate_with_crosstalk(layout, params, x, rng=_rng(rng_seed), **kwargs)
     ref = oracle.propagate_with_crosstalk(
         layout, params, x, rng=_rng(rng_seed), **kwargs
     )
-    _assert_agrees(res, ref)
-
-
-def test_explicit_frozen_noise_and_layer_index_match_oracle():
-    (layout,) = _layers(5, 1, 3)
-    x = _field(5, 2, 3)
-    frozen = propagation.freeze_noise([layout, layout, layout], PARAMS[0], Rng(9))
-    kwargs = dict(resample="frozen", frozen=frozen, layer_index=2)
-    res = propagate_with_crosstalk(layout, PARAMS[0], x, **kwargs)
-    ref = oracle.propagate_with_crosstalk(layout, PARAMS[0], x, **kwargs)
-    assert res.sources[0] == (2, 0)
     _assert_agrees(res, ref)
 
 
