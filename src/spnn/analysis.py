@@ -36,7 +36,6 @@ from spnn.numerics import Rng, mw_to_dbm, power_to_db
 from spnn.propagation import (
     NetworkSpec,
     PropagationResult,
-    _port_ratios,
     network_cascade,
     propagate_signal,
     propagate_with_crosstalk,
@@ -53,7 +52,6 @@ __all__ = [
     "random_phase_input",
     "layer_statistics",
     "network_statistics",
-    "port_statistics",
     "power_penalty",
     "penalty_statistics",
     "params_with_alphas",
@@ -147,6 +145,16 @@ def params_with_alphas(
 
 def _random_layers(n: int, m: int, rng: Rng) -> list[LayerLayout]:
     return [compile_layer(rng.standard_normal((n, n))) for _ in range(m)]
+
+
+def _port_ratios(lossy_pow, ideal_pow, input_pow: float) -> np.ndarray:
+    """Per-port lossy/ideal output power ratios. A port whose ideal power is
+    below 1e-20 of the input power is dark: its ratio means nothing and is
+    NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = lossy_pow / ideal_pow
+    ratios[ideal_pow < 1e-20 * input_pow] = np.nan
+    return ratios
 
 
 def _il_ratios(
@@ -266,26 +274,6 @@ def network_statistics(
     )
 
 
-def port_statistics(values, kind: str) -> tuple[float, float]:
-    """(average, worst) of a per-port vector.
-
-    ``loss_db``: arithmetic mean in dB, worst = max loss.
-    ``power_dbm``: mean in mW converted back to dBm, worst = max power.
-    ``margin_db``: arithmetic mean, worst = minimum margin.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("port_statistics needs a nonempty vector")
-    if kind == "loss_db":
-        return float(values.mean()), float(values.max())
-    if kind == "power_dbm":
-        avg = float(mw_to_dbm(np.mean(10.0 ** (values / 10.0))))
-        return avg, float(values.max())
-    if kind == "margin_db":
-        return float(values.mean()), float(values.min())
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # --------------------------------------------------------------------------
 # Power penalty
 # --------------------------------------------------------------------------
@@ -306,7 +294,9 @@ def power_penalty(
     line (the penalty can never drop below ``S_PD + IL``). A port is flagged
     infeasible when its aligned crosstalk amplitude reaches the signal
     amplitude: destructive interference can then null the output at any
-    launch power.
+    launch power. A port the ideal network leaves dark has NaN IL and
+    penalty; the average and worst are taken over the other ports, and are
+    NaN only when every port is dark.
 
     ``mode="worst"`` books the aligned coherent crosstalk bound per port;
     ``mode="average"`` books the expected (power-sum) crosstalk.
@@ -327,10 +317,11 @@ def power_penalty(
     infeasible = np.sqrt(aligned_mw) >= sig_amp
     s = spec.photodetector_sensitivity_dbm
     per_port = s + il_db + np.maximum(0.0, xp_dbm)
+    lit = per_port[~np.isnan(il_db)]  # a dark port needs no launch power
     return PenaltyReport(
         per_port_penalty_dbm=per_port,
-        avg_dbm=float(per_port.mean()),
-        worst_dbm=float(per_port.max()),
+        avg_dbm=float(lit.mean()) if lit.size else math.nan,
+        worst_dbm=float(lit.max()) if lit.size else math.nan,
         infeasible=infeasible,
         il_db=il_db,
         xp_dbm=xp_dbm,

@@ -22,7 +22,6 @@ __all__ = [
     "PhasePair",
     "mzi_cells",
     "mzi_transfer",
-    "port_insertion_loss",
     "output_insertion_loss",
     "crosstalk_mean_db",
     "crosstalk_coefficient",
@@ -127,23 +126,6 @@ def mzi_cells(p: MziParams, theta, phi) -> np.ndarray:
 def mzi_transfer(p: MziParams, ph: PhasePair) -> np.ndarray:
     """Loss-aware 2x2 transfer matrix of one MZI (see :func:`mzi_cells`)."""
     return mzi_cells(p, ph.theta, ph.phi)
-
-
-def port_insertion_loss(
-    p: MziParams, ph: PhasePair, in_port: int
-) -> tuple[float, float]:
-    """Per-output IL in dB for a unit field injected at ``in_port`` (1 or 2).
-
-    A fully extinguished output reports +inf dB. Input I1 passes the phi
-    shifter, so it carries the extra metal-absorption penalty.
-    """
-    if in_port not in (1, 2):
-        raise ValueError(f"in_port must be 1 or 2, got {in_port}")
-    t = mzi_transfer(p, ph)
-    x = np.array([1.0, 0.0]) if in_port == 1 else np.array([0.0, 1.0])
-    out = t @ x
-    il = power_to_db(np.abs(out) ** 2)
-    return float(il[0]), float(il[1])
 
 
 def output_insertion_loss(p: MziParams, ph: PhasePair) -> tuple[float, float]:

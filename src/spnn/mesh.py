@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.device import PhasePair
 from spnn.numerics import is_unitary, svd, unitarity_residual
 
 __all__ = [
-    "MziPlacement",
+    "Mesh",
     "LayerLayout",
     "lossless_cell",
     "lossless_cells",
@@ -39,35 +38,64 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-ROLE_U = "unitary_U"
-ROLE_V = "unitary_V"
-ROLE_DIAG = "diagonal"
 
+@dataclass(frozen=True, eq=False)
+class Mesh:
+    """The MZIs of one stage as arrays in light order: stable-sorted by depth
+    column, nulling order within a column. ``row`` is each MZI's upper
+    waveguide; theta lies in [0, pi] and phi in [0, 2*pi)."""
 
-@dataclass(frozen=True)
-class MziPlacement:
-    """One MZI on the grid: depth column, upper waveguide row, phases."""
-
-    column: int
-    top_row: int
-    phases: PhasePair
-    role: str = ROLE_U
+    column: np.ndarray
+    row: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
 
     def __post_init__(self):
-        if self.column < 0 or self.top_row < 0:
-            raise ValueError("column and top_row must be >= 0")
+        for name, dtype in (
+            ("column", int), ("row", int), ("theta", float), ("phi", float)
+        ):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+        if not len(self.column) == len(self.row) == len(self.theta) == len(self.phi):
+            raise ValueError("mesh arrays must have equal lengths")
+        if (self.column < 0).any() or (self.row < 0).any():
+            raise ValueError("column and row must be >= 0")
+        if (self.column[1:] < self.column[:-1]).any():
+            raise ValueError("mesh columns must be non-decreasing (light order)")
+        ok = (self.theta >= 0.0) & (self.theta <= math.pi + 1e-12)
+        if not ok.all():
+            raise ValueError(f"theta must be in [0, pi], got {self.theta[~ok]}")
+        ok = (self.phi >= 0.0) & (self.phi < TWO_PI + 1e-12)
+        if not ok.all():
+            raise ValueError(f"phi must be in [0, 2*pi), got {self.phi[~ok]}")
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+
+def _check_mesh(mesh: Mesh, n: int) -> None:
+    """Rejects an MZI outside the n waveguides and two MZIs sharing a
+    waveguide in one column."""
+    outside = mesh.row + 1 >= n
+    if outside.any():
+        raise ValueError(f"mesh rows out of range for n={n}: {mesh.row[outside]}")
+    # With every row below n - 1, two MZIs share a waveguide exactly when
+    # their keys column * n + row are less than 2 apart.
+    keys = np.sort(mesh.column * n + mesh.row)
+    if (keys[1:] - keys[:-1] < 2).any():
+        raise ValueError("two MZIs share a waveguide in one column")
 
 
 @dataclass
 class LayerLayout:
-    """Physical realization of one layer; light flows V^H -> Sigma -> U."""
+    """Physical realization of one layer; light flows V^H -> Sigma -> U.
+    The Sigma stage holds attenuator k at column 0, row k."""
 
     n: int
-    v_mesh: list[MziPlacement]
+    v_mesh: Mesh
     v_screen: np.ndarray
-    sigma_stage: list[MziPlacement]
+    sigma_stage: Mesh
     s_max: float
-    u_mesh: list[MziPlacement]
+    u_mesh: Mesh
     u_screen: np.ndarray
     gain_db: float = 17.0
     nau_loss_db: float = 1.0
@@ -79,12 +107,10 @@ class LayerLayout:
                 f"mesh size mismatch: expected {expected} MZIs per unitary "
                 f"mesh for n={self.n}"
             )
-        if len(self.sigma_stage) != self.n:
-            raise ValueError("sigma stage must hold one attenuator per port")
-
-    @property
-    def n_mzi(self) -> int:
-        return len(self.v_mesh) + len(self.sigma_stage) + len(self.u_mesh)
+        _check_mesh(self.v_mesh, self.n)
+        _check_mesh(self.u_mesh, self.n)
+        if not np.array_equal(self.sigma_stage.row, np.arange(self.n)):
+            raise ValueError("sigma stage must hold attenuator k on row k")
 
     def sigma_deficit_db(self) -> float:
         """Power-budget line for the Sigma normalization: -20*log10(s_max)
@@ -164,14 +190,12 @@ def _push_through_diagonal(
     return theta_p, phi_p, d0p, d1p
 
 
-def clements_decompose(
-    u: np.ndarray, tol: float = 1e-8, role: str = ROLE_U
-) -> tuple[list[MziPlacement], np.ndarray]:
+def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarray]:
     """Rectangular-mesh decomposition of a unitary.
 
-    Returns exactly N(N-1)/2 placements (theta in [0,pi], phi in [0,2pi))
-    plus a per-port output phase screen, such that
-    ``clements_reconstruct(placements, n, screen)`` reproduces ``u``.
+    Returns a mesh of exactly N(N-1)/2 MZIs plus a per-port output phase
+    screen, such that ``clements_reconstruct(mesh, n, screen)`` reproduces
+    ``u``.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
@@ -224,54 +248,42 @@ def clements_decompose(
     applied = rights + [f for f in reversed(middle)]
 
     next_col = np.zeros(n, dtype=int)
-    placements: list[MziPlacement] = []
-    for m, theta, phi in applied:
-        col = int(max(next_col[m], next_col[m + 1]))
-        next_col[m] = next_col[m + 1] = col + 1
-        placements.append(
-            MziPlacement(col, m, PhasePair(min(theta, math.pi), phi), role)
-        )
-
-    screen = np.angle(diag)
-    return placements, screen
+    columns = np.zeros(len(applied), dtype=int)
+    for k, (m, _, _) in enumerate(applied):
+        columns[k] = max(next_col[m], next_col[m + 1])
+        next_col[m] = next_col[m + 1] = columns[k] + 1
+    # Light order: column by column, application order within a column.
+    order = np.argsort(columns, kind="stable")
+    rows, thetas, phis = np.array(applied, dtype=float).reshape(-1, 3)[order].T
+    mesh = Mesh(columns[order], rows, np.minimum(thetas, math.pi), phis)
+    return mesh, np.angle(diag)
 
 
 def clements_reconstruct(
-    placements: list[MziPlacement], n: int, phase_screen: np.ndarray | None = None
+    mesh: Mesh, n: int, phase_screen: np.ndarray | None = None
 ) -> np.ndarray:
-    """Lossless transfer of a placement list plus output phase screen.
+    """Lossless transfer of a mesh plus output phase screen.
 
-    Verification oracle for :func:`clements_decompose`; rejects two
-    placements touching the same waveguide in one column.
+    Verification oracle for :func:`clements_decompose`; rejects MZIs
+    outside the n waveguides and two MZIs sharing one in a column.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_mesh(mesh, n)
+    cells = lossless_cells(mesh.theta, mesh.phi)
     m = np.eye(n, dtype=complex)
-    by_col: dict[int, list[MziPlacement]] = {}
-    for pl in placements:
-        if pl.top_row + 1 >= n:
-            raise ValueError(f"placement rows out of range for n={n}: {pl}")
-        by_col.setdefault(pl.column, []).append(pl)
-    for col in sorted(by_col):
-        used: set[int] = set()
+    for col in np.unique(mesh.column):
         c = np.eye(n, dtype=complex)
-        for pl in by_col[col]:
-            rows = {pl.top_row, pl.top_row + 1}
-            if rows & used:
-                raise ValueError(f"overlapping placements in column {col}")
-            used |= rows
-            c[pl.top_row : pl.top_row + 2, pl.top_row : pl.top_row + 2] = (
-                lossless_cell(pl.phases.theta, pl.phases.phi)
-            )
+        for k in np.flatnonzero(mesh.column == col):
+            r = mesh.row[k]
+            c[r : r + 2, r : r + 2] = cells[k]
         m = c @ m
     if phase_screen is not None:
         m = np.diag(np.exp(1j * np.asarray(phase_screen))) @ m
     return m
 
 
-def diagonal_to_attenuators(
-    s: np.ndarray, role: str = ROLE_DIAG
-) -> tuple[list[MziPlacement], float]:
+def diagonal_to_attenuators(s: np.ndarray) -> tuple[Mesh, float]:
     """Realize a nonnegative diagonal as per-port single-pass MZIs.
 
     Normalizes by s_max = max(s); port k gets theta with lossless through
@@ -285,12 +297,9 @@ def diagonal_to_attenuators(
     s_max = float(np.max(s)) if s.size else 0.0
     if s_max == 0.0:
         raise ValueError("all-zero diagonal: degenerate layer")
-    placements = []
-    for k, sk in enumerate(s):
-        theta = 2.0 * math.asin(min(1.0, sk / s_max))
-        phi = _wrap_phi(-theta / 2.0 - math.pi / 2.0)
-        placements.append(MziPlacement(0, k, PhasePair(theta, phi), role))
-    return placements, s_max
+    thetas = [2.0 * math.asin(min(1.0, sk / s_max)) for sk in s]
+    phis = [_wrap_phi(-theta / 2.0 - math.pi / 2.0) for theta in thetas]
+    return Mesh(np.zeros(len(s), dtype=int), np.arange(len(s)), thetas, phis), s_max
 
 
 def compile_layer(
@@ -307,8 +316,8 @@ def compile_layer(
     if not np.all(np.isfinite(w)):
         raise ValueError("weights contain NaN or inf")
     u, s, vh = svd(w)
-    u_mesh, u_screen = clements_decompose(u, role=ROLE_U)
-    v_mesh, v_screen = clements_decompose(vh, role=ROLE_V)
+    u_mesh, u_screen = clements_decompose(u)
+    v_mesh, v_screen = clements_decompose(vh)
     sigma_stage, s_max = diagonal_to_attenuators(s)
     return LayerLayout(
         n=w.shape[0],
@@ -327,62 +336,47 @@ def compile_layer(
 # JSON round trip
 # --------------------------------------------------------------------------
 
-def _mesh_to_dict(placements: list[MziPlacement]) -> list[dict]:
-    cols: dict[int, list[MziPlacement]] = {}
-    for pl in placements:
-        cols.setdefault(pl.column, []).append(pl)
-    return [
-        {
-            "placements": [
-                {
-                    "rows": [pl.top_row, pl.top_row + 1],
-                    "theta": pl.phases.theta,
-                    "phi": pl.phases.phi,
-                    "role": pl.role,
-                }
-                for pl in cols[c]
-            ]
-        }
-        for c in sorted(cols)
-    ]
+def _mesh_to_dict(mesh: Mesh, role: str) -> list[dict]:
+    cols: dict[int, list[dict]] = {}
+    for c, r, theta, phi in zip(
+        mesh.column.tolist(), mesh.row.tolist(), mesh.theta.tolist(), mesh.phi.tolist()
+    ):
+        cols.setdefault(c, []).append(
+            {"rows": [r, r + 1], "theta": theta, "phi": phi, "role": role}
+        )
+    return [{"placements": cols[c]} for c in sorted(cols)]
 
 
-def _mesh_from_dict(columns: list[dict]) -> list[MziPlacement]:
-    out = []
-    for col_idx, col in enumerate(columns):
-        for entry in col["placements"]:
-            out.append(
-                MziPlacement(
-                    col_idx,
-                    int(entry["rows"][0]),
-                    PhasePair(float(entry["theta"]), float(entry["phi"])),
-                    entry["role"],
-                )
-            )
-    return out
+def _mesh_from_dict(columns: list[dict]) -> Mesh:
+    """Columns are re-indexed in list order."""
+    entries = [(c, e) for c, col in enumerate(columns) for e in col["placements"]]
+    return Mesh(
+        [c for c, _ in entries],
+        [e["rows"][0] for _, e in entries],
+        [e["theta"] for _, e in entries],
+        [e["phi"] for _, e in entries],
+    )
 
 
 def layout_to_json(layout: LayerLayout) -> str:
+    sigma = layout.sigma_stage
     doc = {
         "n": layout.n,
         "v_mesh": {
-            "columns": _mesh_to_dict(layout.v_mesh),
+            "columns": _mesh_to_dict(layout.v_mesh, "unitary_V"),
             "phase_screen": list(map(float, layout.v_screen)),
         },
         "sigma_stage": {
             "placements": [
-                {
-                    "rows": [pl.top_row],
-                    "theta": pl.phases.theta,
-                    "phi": pl.phases.phi,
-                    "role": pl.role,
-                }
-                for pl in layout.sigma_stage
+                {"rows": [r], "theta": theta, "phi": phi, "role": "diagonal"}
+                for r, theta, phi in zip(
+                    sigma.row.tolist(), sigma.theta.tolist(), sigma.phi.tolist()
+                )
             ],
             "s_max": layout.s_max,
         },
         "u_mesh": {
-            "columns": _mesh_to_dict(layout.u_mesh),
+            "columns": _mesh_to_dict(layout.u_mesh, "unitary_U"),
             "phase_screen": list(map(float, layout.u_screen)),
         },
         "gain_db": layout.gain_db,
@@ -393,20 +387,11 @@ def layout_to_json(layout: LayerLayout) -> str:
 
 def layout_from_json(text: str) -> LayerLayout:
     doc = json.loads(text)
-    sigma = [
-        MziPlacement(
-            0,
-            int(e["rows"][0]),
-            PhasePair(float(e["theta"]), float(e["phi"])),
-            e["role"],
-        )
-        for e in doc["sigma_stage"]["placements"]
-    ]
     return LayerLayout(
         n=int(doc["n"]),
         v_mesh=_mesh_from_dict(doc["v_mesh"]["columns"]),
         v_screen=np.asarray(doc["v_mesh"]["phase_screen"], dtype=float),
-        sigma_stage=sigma,
+        sigma_stage=_mesh_from_dict([doc["sigma_stage"]]),
         s_max=float(doc["sigma_stage"]["s_max"]),
         u_mesh=_mesh_from_dict(doc["u_mesh"]["columns"]),
         u_screen=np.asarray(doc["u_mesh"]["phase_screen"], dtype=float),

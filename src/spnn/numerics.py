@@ -20,7 +20,6 @@ __all__ = [
     "svd",
     "is_unitary",
     "fft2d",
-    "ifft2d",
     "random_unitary",
 ]
 
@@ -183,10 +182,3 @@ def fft2d(image: np.ndarray) -> np.ndarray:
         image = padded
     return np.fft.fft2(image)
 
-
-def ifft2d(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`fft2d` on an already power-of-two square spectrum."""
-    spectrum = np.asarray(spectrum, dtype=complex)
-    if spectrum.ndim != 2 or spectrum.shape[0] != spectrum.shape[1]:
-        raise ValueError("ifft2d expects a square spectrum")
-    return np.fft.ifft2(spectrum)

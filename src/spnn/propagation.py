@@ -27,9 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.device import MziParams, crosstalk_coefficient, mzi_cells, mzi_transfer
-from spnn.mesh import LayerLayout, MziPlacement, lossless_cells
-from spnn.numerics import Rng, db_to_field, dbm_to_mw, power_to_db
+from spnn.device import (
+    MziParams,
+    PhasePair,
+    crosstalk_coefficient,
+    mzi_cells,
+    mzi_transfer,
+)
+from spnn.mesh import LayerLayout, Mesh, lossless_cells
+from spnn.numerics import Rng, db_to_field, dbm_to_mw
 
 __all__ = [
     "PropagationResult",
@@ -38,10 +44,7 @@ __all__ = [
     "propagate_with_crosstalk",
     "network_cascade",
     "transfer_matrix",
-    "ideal_transfer",
-    "insertion_loss_per_port",
     "monte_carlo_interference",
-    "crosstalk_power_matrix",
     "resolve_crosstalk_fields",
 ]
 
@@ -56,9 +59,7 @@ class PropagationResult:
 
     signal: np.ndarray
     leak_fields: np.ndarray
-    sources: list[tuple[int, int]]  # (layer, light-order mesh MZI index)
     birth_power: np.ndarray  # (K,) or (K, S): total leak power at spawn time
-    gain_lin: np.ndarray  # (K,) power gain applied to each leak after birth
 
 
 @dataclass
@@ -96,45 +97,42 @@ class NetworkSpec:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Mesh:
-    """A mesh's MZIs in light order (column by column, placement order
-    within a column) as arrays: upper rows, thetas and (K, 2, 2) cells."""
+class _CellMesh:
+    """A mesh with the 2x2 cell of each MZI, (K, 2, 2) in light order."""
 
-    rows: np.ndarray
-    thetas: np.ndarray
+    mesh: Mesh
     cells: np.ndarray
 
 
-def _mesh(placements: list[MziPlacement], p: MziParams, mode: str) -> _Mesh:
-    ordered = sorted(placements, key=lambda pl: pl.column)  # stable sort
-    rows = np.array([pl.top_row for pl in ordered], dtype=int)
-    thetas = np.array([pl.phases.theta for pl in ordered], dtype=float)
-    phis = np.array([pl.phases.phi for pl in ordered], dtype=float)
+def _cell_mesh(mesh: Mesh, p: MziParams, mode: str) -> _CellMesh:
     if mode == "ideal":
-        return _Mesh(rows, thetas, lossless_cells(thetas, phis))
-    return _Mesh(rows, thetas, mzi_cells(p, thetas, phis))
+        return _CellMesh(mesh, lossless_cells(mesh.theta, mesh.phi))
+    return _CellMesh(mesh, mzi_cells(p, mesh.theta, mesh.phi))
 
 
 def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
-    factors = np.empty(layout.n, dtype=complex)
-    for pl in layout.sigma_stage:
-        if mode == "ideal":
-            factors[pl.top_row] = math.sin(pl.phases.theta / 2.0)
-        else:
-            factors[pl.top_row] = mzi_transfer(p, pl.phases)[0, 0]
-    return factors
+    """Through-field factor of each port's attenuator, in port order."""
+    sigma = layout.sigma_stage
+    if mode == "ideal":
+        return np.array([math.sin(t / 2.0) for t in sigma.theta.tolist()], complex)
+    return np.array(
+        [
+            mzi_transfer(p, PhasePair(t, f))[0, 0]
+            for t, f in zip(sigma.theta.tolist(), sigma.phi.tolist())
+        ]
+    )
 
 
 def _stages(layout: LayerLayout, p: MziParams, mode: str) -> list:
-    """One layer in light order. A stage is a :class:`_Mesh` or a per-port
-    field factor (phase screen or Sigma attenuators)."""
+    """One layer in light order. A stage is a :class:`_CellMesh` or a
+    per-port field factor (phase screen or Sigma attenuators)."""
     if mode not in ("ideal", "lossy"):
         raise ValueError(f"unknown mode {mode!r}")
     return [
-        _mesh(layout.v_mesh, p, mode),
+        _cell_mesh(layout.v_mesh, p, mode),
         np.exp(1j * layout.v_screen),
         _sigma_factors(layout, p, mode),
-        _mesh(layout.u_mesh, p, mode),
+        _cell_mesh(layout.u_mesh, p, mode),
         np.exp(1j * layout.u_screen),
     ]
 
@@ -163,8 +161,8 @@ def _signal_pass(
     """Crosstalk-free propagation; mutates ``signal`` (N, ...) in place."""
     for layout in layers:
         for stage in _stages(layout, p, mode):
-            if isinstance(stage, _Mesh):
-                for r, t2 in zip(stage.rows.tolist(), stage.cells):
+            if isinstance(stage, _CellMesh):
+                for r, t2 in zip(stage.mesh.row.tolist(), stage.cells):
                     _apply_rows(signal, r, t2)
             else:
                 _scale_ports(signal, stage)
@@ -220,30 +218,24 @@ def _crosstalk_pass(
     stages = [_stages(layout, p, "lossy") for layout in layers]
     k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
     leaks = np.zeros((signal.shape[0], k_total) + signal.shape[1:], dtype=complex)
-    sources: list = [None] * k_total
     birth_power = np.zeros((k_total,) + signal.shape[1:])
-    gain_lin = np.ones(k_total)
 
     slot = 0
-    for m, (layout, layer) in enumerate(zip(layers, stages)):
-        first = slot
+    for layout, layer in zip(layers, stages):
         for stage in layer:
-            if not isinstance(stage, _Mesh):
+            if not isinstance(stage, _CellMesh):
                 _scale_ports(signal, stage)
                 continue
             for r, theta, t2 in zip(
-                stage.rows.tolist(), stage.thetas.tolist(), stage.cells
+                stage.mesh.row.tolist(), stage.mesh.theta.tolist(), stage.cells
             ):
                 x_db = crosstalk_coefficient(p, theta, rng)
                 leak2, born = _split(signal, r, t2, x_db, nominal_mw)
                 leaks[r : r + 2, slot] = leak2.reshape(leaks[r : r + 2, slot].shape)
                 birth_power[slot] = born.reshape(np.shape(birth_power[slot]))
-                sources[slot] = (m, slot - first)
                 slot += 1
         if include_gain:
-            f = _gain(layout)
-            signal *= f
-            gain_lin[:slot] *= f * f
+            signal *= _gain(layout)
 
     # suffix = transfer from the current point to the output, leaks excluded.
     suffix = np.eye(signal.shape[0], dtype=complex)
@@ -251,16 +243,16 @@ def _crosstalk_pass(
         if include_gain:
             suffix *= _gain(layout)
         for stage in reversed(layer):
-            if not isinstance(stage, _Mesh):
+            if not isinstance(stage, _CellMesh):
                 suffix *= stage
                 continue
-            for r, t2 in zip(stage.rows[::-1].tolist(), stage.cells[::-1]):
+            for r, t2 in zip(stage.mesh.row[::-1].tolist(), stage.cells[::-1]):
                 slot -= 1
                 pair = suffix[:, r : r + 2]
                 at_birth = leaks[r : r + 2, slot].reshape(2, -1)
                 leaks[:, slot] = (pair @ at_birth).reshape(leaks[:, slot].shape)
                 suffix[:, r : r + 2] = pair @ t2
-    return PropagationResult(signal, leaks, sources, birth_power, gain_lin)
+    return PropagationResult(signal, leaks, birth_power)
 
 
 def _as_field_array(x, n: int) -> np.ndarray:
@@ -323,8 +315,7 @@ def network_cascade(
     if not crosstalk:
         _signal_pass(spec.layers, spec.params, signal, "lossy", include_gain=True)
         leaks = np.zeros((spec.n, 0) + signal.shape[1:], dtype=complex)
-        birth_power = np.zeros((0,) + signal.shape[1:])
-        return PropagationResult(signal, leaks, [], birth_power, np.ones(0))
+        return PropagationResult(signal, leaks, np.zeros((0,) + signal.shape[1:]))
     return _crosstalk_pass(
         spec.layers, spec.params, signal, rng, nominal_mw, include_gain=True
     )
@@ -343,44 +334,6 @@ def transfer_matrix(
     """End-to-end transfer matrix of the cascade (crosstalk off)."""
     t = np.eye(layers[0].n, dtype=complex)
     return _signal_pass(layers, p, t, mode, include_gain)
-
-
-def ideal_transfer(layers: list[LayerLayout], p: MziParams) -> np.ndarray:
-    """Lossless, gain-free cascade: the product of w_m / s_max_m."""
-    return transfer_matrix(layers, p, mode="ideal", include_gain=False)
-
-
-def insertion_loss_per_port(
-    layers: list[LayerLayout], p: MziParams, include_gain: bool = True
-) -> np.ndarray:
-    """Per-output-port IL in dB: lossy (with gain/NAU when requested) row
-    power relative to the ideal cascade's row power. The Sigma
-    normalization deficit is excluded by construction (it appears in both)
-    and is reported separately via ``LayerLayout.sigma_deficit_db``."""
-    lossy = transfer_matrix(layers, p, mode="lossy", include_gain=include_gain)
-    ideal = transfer_matrix(layers, p, mode="ideal", include_gain=False)
-    lossy_pow = np.sum(np.abs(lossy) ** 2, axis=1)
-    ideal_pow = np.sum(np.abs(ideal) ** 2, axis=1)
-    # Row powers are the outputs for unit power on each of the n inputs.
-    return power_to_db(_port_ratios(lossy_pow, ideal_pow, layers[0].n))
-
-
-def _port_ratios(lossy_pow, ideal_pow, input_pow: float) -> np.ndarray:
-    """Per-port lossy/ideal output power ratios. A port whose ideal power is
-    below 1e-20 of the input power is dark: its ratio means nothing and is
-    NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = lossy_pow / ideal_pow
-    ratios[ideal_pow < 1e-20 * input_pow] = np.nan
-    return ratios
-
-
-def crosstalk_power_matrix(result: PropagationResult) -> np.ndarray:
-    """Per-(port, source) crosstalk power in mW at the measurement point."""
-    phys = np.abs(result.leak_fields) ** 2
-    if phys.ndim != 2:
-        raise ValueError("crosstalk_power_matrix expects an unbatched result")
-    return phys
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,14 @@ import math
 
 import numpy as np
 
-from spnn.device import MziParams, crosstalk_coefficient, crosstalk_mean_db, mzi_transfer
-from spnn.mesh import LayerLayout, MziPlacement, lossless_cell
+from spnn.device import (
+    MziParams,
+    PhasePair,
+    crosstalk_coefficient,
+    crosstalk_mean_db,
+    mzi_transfer,
+)
+from spnn.mesh import LayerLayout, Mesh, lossless_cell
 from spnn.numerics import Rng, db_to_field, dbm_to_mw
 from spnn.propagation import NetworkSpec, PropagationResult
 
@@ -28,20 +34,25 @@ def _apply_rows(arr: np.ndarray, r: int, t2: np.ndarray) -> None:
     arr[r : r + 2] = (t2 @ sub).reshape(arr[r : r + 2].shape)
 
 
-def _mesh_columns(placements: list[MziPlacement]) -> list[list[tuple[int, MziPlacement]]]:
-    cols: dict[int, list[tuple[int, MziPlacement]]] = {}
-    for j, pl in enumerate(placements):
-        cols.setdefault(pl.column, []).append((j, pl))
+def _mesh_columns(mesh: Mesh) -> list[list[tuple[int, PhasePair]]]:
+    """(upper row, phases) of each MZI, grouped by column, columns in
+    ascending order, stored order within a column."""
+    cols: dict[int, list[tuple[int, PhasePair]]] = {}
+    for j in range(len(mesh)):
+        phases = PhasePair(float(mesh.theta[j]), float(mesh.phi[j]))
+        cols.setdefault(int(mesh.column[j]), []).append((int(mesh.row[j]), phases))
     return [cols[c] for c in sorted(cols)]
 
 
 def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
     factors = np.empty(layout.n, dtype=complex)
-    for pl in layout.sigma_stage:
+    sigma = layout.sigma_stage
+    for j in range(len(sigma)):
+        phases = PhasePair(float(sigma.theta[j]), float(sigma.phi[j]))
         if mode == "ideal":
-            factors[pl.top_row] = math.sin(pl.phases.theta / 2.0)
+            factors[sigma.row[j]] = math.sin(phases.theta / 2.0)
         else:
-            factors[pl.top_row] = mzi_transfer(p, pl.phases)[0, 0]
+            factors[sigma.row[j]] = mzi_transfer(p, phases)[0, 0]
     return factors
 
 
@@ -54,7 +65,6 @@ class _LayerEngine:
         layout: LayerLayout,
         p: MziParams,
         mode: str,
-        layer_index: int = 0,
         rng: Rng | None = None,
         crosstalk: bool = False,
         leak_birth: str = "physical",
@@ -67,7 +77,6 @@ class _LayerEngine:
         self.layout = layout
         self.p = p
         self.mode = mode
-        self.layer_index = layer_index
         self.rng = rng
         self.crosstalk = crosstalk
         self.leak_birth = leak_birth
@@ -88,19 +97,17 @@ class _LayerEngine:
             return crosstalk_mean_db(self.p, theta)
         return crosstalk_coefficient(self.p, theta, self.rng)
 
-    def run(self, signal, leaks, spawn_slots=None, sources=None, birth_power=None):
+    def run(self, signal, leaks, spawn_slots=None, birth_power=None):
         """Mutates signal/leaks in place. ``spawn_slots`` is an iterator of
         column indices in ``leaks`` reserved for this layer's new leaks."""
-        mzi_index = 0
         for block, role in ((self.layout.v_mesh, "v"), (self.layout.u_mesh, "u")):
-            for column in _mesh_columns(list(block)):
-                for _, pl in column:
-                    t2 = self._cell(pl.phases)
-                    r = pl.top_row
+            for column in _mesh_columns(block):
+                for r, phases in column:
+                    t2 = self._cell(phases)
                     if leaks is not None and leaks.shape[1]:
                         _apply_rows(leaks, r, t2)
                     if self.crosstalk:
-                        x_db = self._draw_x(pl.phases.theta)
+                        x_db = self._draw_x(phases.theta)
                         x_lin = 10.0 ** (x_db / 10.0)
                         sig_f = math.sqrt(1.0 - x_lin)
                         leak_f = math.sqrt(x_lin)
@@ -127,13 +134,11 @@ class _LayerEngine:
                         leaks[r : r + 2, slot] = leak2.reshape(
                             leaks[r : r + 2, slot].shape
                         )
-                        sources[slot] = (self.layer_index, mzi_index)
                         birth_power[slot] = born.reshape(
                             np.shape(birth_power[slot])
                         )
                     else:
                         _apply_rows(signal, r, t2)
-                    mzi_index += 1
             if role == "v":
                 screen = np.exp(1j * self.layout.v_screen)
                 self._broadcast(signal, leaks, screen)
@@ -191,7 +196,6 @@ def propagate_with_crosstalk(
     n_mesh = len(layout.v_mesh) + len(layout.u_mesh)
     leak_shape = (layout.n, n_mesh) + signal.shape[1:]
     leaks = np.zeros(leak_shape, dtype=complex)
-    sources: list = [None] * n_mesh
     birth_power = np.zeros((n_mesh,) + signal.shape[1:])
     engine = _LayerEngine(
         layout,
@@ -202,14 +206,12 @@ def propagate_with_crosstalk(
         leak_birth=leak_birth,
         nominal_power_mw=nominal_power_mw,
     )
-    engine.run(signal, leaks, iter(range(n_mesh)), sources, birth_power)
-    gain_lin = np.ones(n_mesh)
+    engine.run(signal, leaks, iter(range(n_mesh)), birth_power)
     if include_gain:
         f = db_to_field(layout.nau_loss_db - layout.gain_db)
         signal *= f
         leaks *= f
-        gain_lin *= f * f
-    return PropagationResult(signal, leaks, sources, birth_power, gain_lin)
+    return PropagationResult(signal, leaks, birth_power)
 
 
 def transfer_matrix(
@@ -252,9 +254,7 @@ def network_cascade(
     per_layer = [len(lay.v_mesh) + len(lay.u_mesh) for lay in spec.layers]
     k_total = sum(per_layer) if crosstalk else 0
     leaks = np.zeros((spec.n, k_total) + signal.shape[1:], dtype=complex)
-    sources: list = [None] * k_total
     birth_power = np.zeros((k_total,) + signal.shape[1:])
-    gain_lin = np.ones(k_total)
 
     offset = 0
     for m, layout in enumerate(spec.layers):
@@ -262,7 +262,6 @@ def network_cascade(
             layout,
             spec.params,
             "lossy",
-            layer_index=m,
             rng=rng,
             crosstalk=crosstalk,
             leak_birth=leak_birth,
@@ -270,7 +269,7 @@ def network_cascade(
         )
         if crosstalk:
             slots = iter(range(offset, offset + per_layer[m]))
-            engine.run(signal, leaks, slots, sources, birth_power)
+            engine.run(signal, leaks, slots, birth_power)
             offset += per_layer[m]
         else:
             engine.run(signal, leaks=None)
@@ -278,5 +277,4 @@ def network_cascade(
         signal *= f
         if crosstalk:
             leaks[:, :offset] *= f
-            gain_lin[:offset] *= f * f
-    return PropagationResult(signal, leaks, sources, birth_power, gain_lin)
+    return PropagationResult(signal, leaks, birth_power)

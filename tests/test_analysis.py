@@ -1,8 +1,8 @@
 """Analysis tests: gradient correctness against finite differences, the
 reference trainer on a separable toy task, power-penalty arithmetic, and
-port-statistic conventions."""
+dark-port handling."""
 
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from spnn.analysis import (
     loss_sweep,
     network_statistics,
     params_with_alphas,
-    port_statistics,
     power_penalty,
     train_reference,
 )
@@ -26,7 +25,6 @@ from spnn.mesh import compile_layer
 from spnn.numerics import Rng
 from spnn.propagation import (
     NetworkSpec,
-    insertion_loss_per_port,
     network_cascade,
     propagate_signal,
 )
@@ -137,18 +135,6 @@ def test_expected_alpha_ranges_ordering():
         assert 0.0 < lo < hi
 
 
-def test_port_statistics_conventions():
-    avg, worst = port_statistics([1.0, 2.0, 3.0], kind="loss_db")
-    assert (avg, worst) == (2.0, 3.0)
-    avg, worst = port_statistics([0.0, 10.0], kind="power_dbm")
-    assert worst == 10.0
-    assert avg == pytest.approx(10.0 * math.log10((1.0 + 10.0) / 2.0))
-    avg, worst = port_statistics([3.0, 1.0], kind="margin_db")
-    assert (avg, worst) == (2.0, 1.0)
-    with pytest.raises(ValueError):
-        port_statistics([1.0], kind="bogus")
-
-
 def test_power_penalty_without_crosstalk_is_sensitivity_plus_il():
     n = 4
     p = MziParams(xb_db=-300.0, xc_db=-300.0, xtalk_sigma_frac=0.0)
@@ -188,7 +174,8 @@ def test_network_statistics_shape_and_reproducibility():
 
 def test_dark_ideal_port_has_nan_insertion_loss():
     """diag(1, 0) leaves port 1 dark in the ideal network: its IL is NaN,
-    not a ratio against an ideal power of ~1e-33, and port 0 is unchanged."""
+    not a ratio against an ideal power of ~1e-33, and port 0 is unchanged.
+    The penalty's average and worst skip the dark port."""
     p = MziParams()
     layout = compile_layer(np.diag([1.0, 0.0]))
     spec = NetworkSpec([layout], p)
@@ -199,9 +186,17 @@ def test_dark_ideal_port_has_nan_insertion_loss():
         ideal = propagate_signal(layout, p, x, "ideal")
         assert np.isnan(ratios[1])
         assert ratios[0] == np.abs(lossy[0]) ** 2 / np.abs(ideal[0]) ** 2
-    il = insertion_loss_per_port([layout], p)
-    assert np.isnan(il[1]) and np.isfinite(il[0])
     res = network_cascade(spec, x, rng=Rng(1), leak_birth="nominal")
-    report = power_penalty(spec, res, x=x)
-    assert np.isnan(report.il_db[1]) and np.isnan(report.per_port_penalty_dbm[1])
-    assert np.isfinite(report.per_port_penalty_dbm[0])
+    for mode in ("average", "worst"):
+        report = power_penalty(spec, res, mode=mode, x=x)
+        assert np.isnan(report.il_db[1]) and np.isnan(report.per_port_penalty_dbm[1])
+        assert np.isfinite(report.per_port_penalty_dbm[0])
+        assert report.avg_dbm == report.worst_dbm == report.per_port_penalty_dbm[0]
+    # Light on port 1 only reaches no ideal output: every port is dark.
+    dark = np.array([0.0, 1.0], dtype=complex)
+    res = network_cascade(spec, dark, rng=Rng(1), leak_birth="nominal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = power_penalty(spec, res, x=dark)
+    assert np.isnan(report.il_db).all()
+    assert np.isnan(report.avg_dbm) and np.isnan(report.worst_dbm)

@@ -17,7 +17,6 @@ from spnn.device import (
     mzi_transfer,
     mzi_with_crosstalk,
     output_insertion_loss,
-    port_insertion_loss,
 )
 from spnn.numerics import Rng, unitarity_residual
 
@@ -132,12 +131,6 @@ def test_insertion_loss_envelope_over_theta():
         il1, il2 = output_insertion_loss(p, PhasePair(float(theta)))
         for il in (il1, il2):
             assert 0.25 <= il <= 0.85
-
-
-def test_port_insertion_loss_extinguished_port():
-    il_o1, il_o2 = port_insertion_loss(LOSSLESS, PhasePair(0.0), in_port=1)
-    assert il_o2 == pytest.approx(0.0, abs=1e-9)
-    assert il_o1 > 100.0  # fully extinguished
 
 
 def test_invalid_params_rejected():

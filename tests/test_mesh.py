@@ -1,6 +1,8 @@
-"""Mesh compilation tests: Clements decomposition round trips, placement
-counts and depth, attenuator mapping, and layout JSON serialization."""
+"""Mesh compilation tests: Clements decomposition round trips, MZI counts
+and depth, attenuator mapping, layout JSON serialization, and rejection of
+malformed layouts."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from spnn.mesh import (
     LayerLayout,
+    Mesh,
     clements_decompose,
     clements_reconstruct,
     compile_layer,
@@ -33,16 +36,14 @@ def test_placement_count_and_depth(n):
     u = random_unitary(n, Rng(100 + n))
     mesh, _ = clements_decompose(u)
     assert len(mesh) == n * (n - 1) // 2
-    depth = max(pl.column for pl in mesh) + 1
-    assert depth == (n if n > 2 else n - 1)
+    assert mesh.column.max() + 1 == (n if n > 2 else n - 1)
 
 
 def test_phase_ranges():
     u = random_unitary(6, Rng(9))
     mesh, screen = clements_decompose(u)
-    for pl in mesh:
-        assert 0.0 <= pl.phases.theta <= math.pi + 1e-12
-        assert 0.0 <= pl.phases.phi < 2.0 * math.pi + 1e-12
+    assert np.all((0.0 <= mesh.theta) & (mesh.theta <= math.pi + 1e-12))
+    assert np.all((0.0 <= mesh.phi) & (mesh.phi < 2.0 * math.pi + 1e-12))
     assert screen.shape == (6,)
 
 
@@ -50,10 +51,11 @@ def test_no_two_mzis_share_a_waveguide_in_a_column():
     u = random_unitary(8, Rng(11))
     mesh, _ = clements_decompose(u)
     seen = set()
-    for pl in mesh:
-        for row in (pl.top_row, pl.top_row + 1):
-            assert (pl.column, row) not in seen
-            seen.add((pl.column, row))
+    for col, top in zip(mesh.column.tolist(), mesh.row.tolist()):
+        for row in (top, top + 1):
+            assert (col, row) not in seen
+            seen.add((col, row))
+    assert np.all(np.diff(mesh.column) >= 0)  # light order
 
 
 def test_decompose_rejects_non_unitary():
@@ -85,7 +87,8 @@ def test_diagonal_to_attenuators_normalizes_to_unity():
     s = np.array([3.0, 2.0, 0.5])
     stage, s_max = diagonal_to_attenuators(s)
     assert s_max == pytest.approx(3.0)
-    realized = [math.sin(pl.phases.theta / 2.0) for pl in stage]
+    np.testing.assert_array_equal(stage.row, np.arange(3))
+    realized = np.sin(stage.theta / 2.0)
     np.testing.assert_allclose(sorted(realized, reverse=True), s / s_max, atol=1e-12)
     assert max(realized) == pytest.approx(1.0)
 
@@ -116,21 +119,12 @@ def test_compile_layer_rejects_non_finite_weights(bad):
 
 def test_layout_json_round_trip():
     w = Rng(5).standard_normal((4, 4)) + 1j * Rng(6).standard_normal((4, 4))
-    layout = compile_layer(w, gain_db=12.0, nau_loss_db=0.5)
-    rebuilt = layout_from_json(layout_to_json(layout))
-    assert rebuilt.n == layout.n
-    assert rebuilt.s_max == pytest.approx(layout.s_max, rel=1e-15)
-    assert rebuilt.gain_db == layout.gain_db
-    assert rebuilt.nau_loss_db == layout.nau_loss_db
-    np.testing.assert_allclose(rebuilt.v_screen, layout.v_screen, atol=1e-15)
-    np.testing.assert_allclose(rebuilt.u_screen, layout.u_screen, atol=1e-15)
-    for a, b in zip(
-        rebuilt.v_mesh + rebuilt.sigma_stage + rebuilt.u_mesh,
-        layout.v_mesh + layout.sigma_stage + layout.u_mesh,
-    ):
-        assert (a.column, a.top_row, a.role) == (b.column, b.top_row, b.role)
-        assert a.phases.theta == pytest.approx(b.phases.theta, abs=1e-15)
-        assert a.phases.phi == pytest.approx(b.phases.phi, abs=1e-15)
+    text = layout_to_json(compile_layer(w, gain_db=12.0, nau_loss_db=0.5))
+    assert layout_to_json(layout_from_json(text)) == text
+
+
+def _truncated(mesh):
+    return Mesh(mesh.column[:-1], mesh.row[:-1], mesh.theta[:-1], mesh.phi[:-1])
 
 
 def test_layer_layout_validates_mesh_sizes():
@@ -139,10 +133,73 @@ def test_layer_layout_validates_mesh_sizes():
     with pytest.raises(ValueError):
         LayerLayout(
             n=4,
-            v_mesh=layout.v_mesh[:-1],  # one MZI short
+            v_mesh=_truncated(layout.v_mesh),  # one MZI short
             v_screen=layout.v_screen,
             sigma_stage=layout.sigma_stage,
             s_max=layout.s_max,
             u_mesh=layout.u_mesh,
             u_screen=layout.u_screen,
         )
+
+
+def _layout_doc():
+    return json.loads(layout_to_json(compile_layer(Rng(7).standard_normal((4, 4)))))
+
+
+def _first_mzi(doc):
+    return doc["v_mesh"]["columns"][0]["placements"][0]
+
+
+def _out_of_range_row(doc):
+    _first_mzi(doc)["rows"] = [7, 8]
+
+
+def _row_past_last_waveguide(doc):
+    _first_mzi(doc)["rows"] = [3, 4]  # waveguide 4 does not exist for n=4
+
+
+def _same_rows_in_column(doc):
+    first, second = doc["v_mesh"]["columns"][0]["placements"][:2]
+    second["rows"] = first["rows"]
+
+
+def _shifted_into_neighbour(doc):
+    # Column 0 holds rows [0, 1] and [2, 3]; [1, 2] shares waveguide 1.
+    doc["v_mesh"]["columns"][0]["placements"][1]["rows"] = [1, 2]
+
+
+def _duplicate_sigma_row(doc):
+    doc["sigma_stage"]["placements"][3]["rows"] = [2]
+
+
+def _missing_sigma_row(doc):
+    doc["sigma_stage"]["placements"][3]["rows"] = [4]  # no attenuator on row 3
+
+
+def _theta_above_pi(doc):
+    _first_mzi(doc)["theta"] = math.pi + 1e-6
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (_out_of_range_row, "out of range"),
+        (_row_past_last_waveguide, "out of range"),
+        (_same_rows_in_column, "share a waveguide"),
+        (_shifted_into_neighbour, "share a waveguide"),
+        (_duplicate_sigma_row, "attenuator k on row k"),
+        (_missing_sigma_row, "attenuator k on row k"),
+        (_theta_above_pi, "theta"),
+    ],
+)
+def test_layout_from_json_rejects_malformed_layouts(corrupt, match):
+    doc = _layout_doc()
+    layout_from_json(json.dumps(doc))  # the untouched document loads
+    corrupt(doc)
+    with pytest.raises(ValueError, match=match):
+        layout_from_json(json.dumps(doc))
+
+
+def test_mesh_rejects_columns_out_of_light_order():
+    with pytest.raises(ValueError, match="non-decreasing"):
+        Mesh([1, 0], [0, 0], [0.5, 0.5], [0.0, 0.0])

@@ -12,7 +12,6 @@ from spnn.numerics import (
     db_to_power,
     dbm_to_mw,
     fft2d,
-    ifft2d,
     is_unitary,
     mw_to_dbm,
     power_to_db,
@@ -77,7 +76,7 @@ def test_fft_round_trip():
     rng = Rng(3)
     img = rng.standard_normal((5, 7))
     np.testing.assert_allclose(
-        ifft2d(fft2d(img)), _pad_pow2_square(img), atol=1e-12
+        np.fft.ifft2(fft2d(img)), _pad_pow2_square(img), atol=1e-12
     )
 
 

@@ -7,14 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from spnn.device import MziParams, crosstalk_mean_db, mzi_transfer, mzi_with_crosstalk
+from spnn.device import (
+    MziParams,
+    PhasePair,
+    crosstalk_mean_db,
+    mzi_transfer,
+    mzi_with_crosstalk,
+)
 from spnn.mesh import compile_layer
 from spnn.numerics import Rng, db_to_power, dbm_to_mw, random_unitary
 from spnn.propagation import (
     NetworkSpec,
-    crosstalk_power_matrix,
-    ideal_transfer,
-    insertion_loss_per_port,
     monte_carlo_interference,
     network_cascade,
     propagate_signal,
@@ -58,18 +61,16 @@ def test_compiled_2x2_matches_device_level_oracle():
     x = _random_field(2, 9)
     res = propagate_with_crosstalk(layout, P, x, rng=None)
 
-    v, u = layout.v_mesh[0], layout.u_mesh[0]
-    sig, leak_v = mzi_with_crosstalk(
-        P, v.phases, x, x_db=crosstalk_mean_db(P, v.phases.theta)
-    )
+    v = PhasePair(layout.v_mesh.theta[0], layout.v_mesh.phi[0])
+    u = PhasePair(layout.u_mesh.theta[0], layout.u_mesh.phi[0])
+    sigma = layout.sigma_stage
+    sig, leak_v = mzi_with_crosstalk(P, v, x, x_db=crosstalk_mean_db(P, v.theta))
     screen_sigma = np.exp(1j * layout.v_screen) * np.array(
-        [mzi_transfer(P, pl.phases)[0, 0] for pl in layout.sigma_stage]
+        [mzi_transfer(P, PhasePair(t, f))[0, 0] for t, f in zip(sigma.theta, sigma.phi)]
     )
     sig, leak_v = sig * screen_sigma, leak_v * screen_sigma
-    sig, leak_u = mzi_with_crosstalk(
-        P, u.phases, sig, x_db=crosstalk_mean_db(P, u.phases.theta)
-    )
-    leak_v = mzi_transfer(P, u.phases) @ leak_v  # no re-leak downstream
+    sig, leak_u = mzi_with_crosstalk(P, u, sig, x_db=crosstalk_mean_db(P, u.theta))
+    leak_v = mzi_transfer(P, u) @ leak_v  # no re-leak downstream
     u_screen = np.exp(1j * layout.u_screen)
     sig, leak_v, leak_u = sig * u_screen, leak_v * u_screen, leak_u * u_screen
 
@@ -95,7 +96,7 @@ def test_first_order_power_bookkeeping():
     x = np.exp(1j * Rng(5).uniform(0.0, 2.0 * math.pi, n))
     res = propagate_with_crosstalk(layout, P, x, rng=Rng(6))
     total = float(np.sum(np.abs(res.signal) ** 2)) + float(
-        np.sum(crosstalk_power_matrix(res))
+        np.sum(np.abs(res.leak_fields) ** 2)
     )
     assert total <= float(np.sum(np.abs(x) ** 2)) + 1e-12
 
@@ -108,7 +109,7 @@ def test_zero_crosstalk_matches_signal_path():
     res = propagate_with_crosstalk(layout, p0, x, rng=None)
     ref = propagate_signal(layout, p0, x, mode="lossy")
     np.testing.assert_allclose(res.signal, ref, atol=1e-10)
-    assert float(np.sum(crosstalk_power_matrix(res))) < 1e-25
+    assert float(np.sum(np.abs(res.leak_fields) ** 2)) < 1e-25
 
 
 def test_gain_applies_to_signal_and_leaks_alike():
@@ -123,8 +124,8 @@ def test_gain_applies_to_signal_and_leaks_alike():
         np.abs(gained.signal) ** 2, factor * np.abs(base.signal) ** 2, rtol=1e-12
     )
     np.testing.assert_allclose(
-        crosstalk_power_matrix(gained),
-        factor * crosstalk_power_matrix(base),
+        np.abs(gained.leak_fields) ** 2,
+        factor * np.abs(base.leak_fields) ** 2,
         rtol=1e-12,
     )
 
@@ -138,13 +139,11 @@ def test_nominal_leak_birth_books_x_times_launch_power():
         layout, P, x, rng=None, leak_birth="nominal", nominal_power_mw=launch_mw
     )
     # rng=None draws the deterministic mean X, slot by slot in light order:
-    # each mesh's MZIs column by column (a stable sort by column).
-    thetas = [
-        pl.phases.theta
-        for mesh in (layout.v_mesh, layout.u_mesh)
-        for pl in sorted(mesh, key=lambda pl: pl.column)
-    ]
-    assert len(thetas) == len(res.sources)
+    # each mesh's MZIs column by column, the order a Mesh holds them in.
+    assert np.all(np.diff(layout.v_mesh.column) >= 0)
+    assert np.all(np.diff(layout.u_mesh.column) >= 0)
+    thetas = np.concatenate([layout.v_mesh.theta, layout.u_mesh.theta])
+    assert len(thetas) == len(res.birth_power)
     for slot, theta in enumerate(thetas):
         x_lin = 10.0 ** (crosstalk_mean_db(P, theta) / 10.0)
         born = res.birth_power[slot]
@@ -172,8 +171,11 @@ def test_network_il_monotone_in_scale():
         ratios = []
         for i in range(5):
             layout = compile_layer(Rng(100 * n + i).standard_normal((n, n)))
-            il = insertion_loss_per_port([layout], P, include_gain=False)
-            ratios.append(np.mean(10.0 ** (-il / 10.0)))
+            lossy = transfer_matrix([layout], P, mode="lossy")
+            ideal = transfer_matrix([layout], P, mode="ideal")
+            # Per-port IL ratio for unit power on every input.
+            row_ratio = np.sum(np.abs(lossy) ** 2, 1) / np.sum(np.abs(ideal) ** 2, 1)
+            ratios.append(np.mean(row_ratio))
         avg.append(-10.0 * math.log10(np.mean(ratios)))
     assert avg[0] < avg[1] < avg[2]
 
@@ -222,7 +224,7 @@ def test_resolve_crosstalk_fields_reproducible_and_power_scale():
         for t in range(400)
     ]
     expect = float(
-        np.sum(np.abs(res.signal) ** 2) + np.sum(crosstalk_power_matrix(res))
+        np.sum(np.abs(res.signal) ** 2) + np.sum(np.abs(res.leak_fields) ** 2)
     )
     assert np.mean(trials) == pytest.approx(expect, rel=0.05)
 
@@ -239,4 +241,6 @@ def test_ideal_transfer_of_cascade():
     ws = [Rng(50 + k).standard_normal((n, n)) for k in range(2)]
     layers = [compile_layer(w) for w in ws]
     expected = (ws[1] / layers[1].s_max) @ (ws[0] / layers[0].s_max)
-    np.testing.assert_allclose(ideal_transfer(layers, P), expected, atol=1e-7)
+    np.testing.assert_allclose(
+        transfer_matrix(layers, P, mode="ideal"), expected, atol=1e-7
+    )

@@ -51,15 +51,13 @@ def _rng(seed):
 
 def _assert_agrees(res, ref):
     """Signal per sample and each source column's leaks (per sample) to
-    REL of their largest magnitude; birth power and gains to REL."""
-    assert res.sources == ref.sources
+    REL of their largest magnitude; birth power to REL."""
     assert res.leak_fields.shape == ref.leak_fields.shape
     sig_scale = np.max(np.abs(ref.signal), axis=0)
     assert np.all(np.abs(res.signal - ref.signal) <= REL * sig_scale)
     leak_scale = np.max(np.abs(ref.leak_fields), axis=0)
     assert np.all(np.abs(res.leak_fields - ref.leak_fields) <= REL * leak_scale)
     np.testing.assert_allclose(res.birth_power, ref.birth_power, rtol=REL, atol=0)
-    np.testing.assert_allclose(res.gain_lin, ref.gain_lin, rtol=REL, atol=0)
 
 
 @settings(max_examples=60)
