@@ -15,6 +15,7 @@ which is what :func:`spnn.device.mzi_transfer` reduces to at zero dB loss.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from spnn.numerics import is_unitary, svd, unitarity_residual
 __all__ = [
     "Mesh",
     "LayerLayout",
-    "lossless_cell",
     "lossless_cells",
     "clements_decompose",
     "clements_reconstruct",
@@ -109,6 +109,9 @@ class LayerLayout:
             )
         _check_mesh(self.v_mesh, self.n)
         _check_mesh(self.u_mesh, self.n)
+        for name in ("v_screen", "u_screen"):
+            if np.shape(getattr(self, name)) != (self.n,):
+                raise ValueError(f"{name} must hold one phase per port (n={self.n})")
         if not np.array_equal(self.sigma_stage.row, np.arange(self.n)):
             raise ValueError("sigma stage must hold attenuator k on row k")
 
@@ -132,8 +135,12 @@ def lossless_cells(theta, phi) -> np.ndarray:
     return (1j * np.exp(1j * half))[..., None, None] * cells
 
 
-def lossless_cell(theta: float, phi: float) -> np.ndarray:
-    return lossless_cells(theta, phi)
+def _cell(theta: float, phi: float) -> tuple[tuple[complex, complex], ...]:
+    """T(theta, phi) as rows of Python scalars."""
+    half = theta / 2.0
+    s, c = math.sin(half), math.cos(half)
+    g, ephi = 1j * cmath.exp(1j * half), cmath.exp(1j * phi)
+    return (g * (ephi * s), g * c), (g * (ephi * c), g * -s)
 
 
 def _wrap_phi(phi: float) -> float:
@@ -146,8 +153,7 @@ def _null_right(a: complex, b: complex) -> tuple[float, float]:
     theta = 2.0 * math.atan2(abs(b), abs(a))
     if abs(a) < 1e-300 or abs(b) < 1e-300:
         return theta, 0.0
-    phi = np.angle(a) - np.angle(-b)
-    return theta, _wrap_phi(float(phi))
+    return theta, _wrap_phi(cmath.phase(a) - cmath.phase(-b))
 
 
 def _null_left(a: complex, b: complex) -> tuple[float, float]:
@@ -155,38 +161,34 @@ def _null_left(a: complex, b: complex) -> tuple[float, float]:
     theta = 2.0 * math.atan2(abs(a), abs(b))
     if abs(a) < 1e-300 or abs(b) < 1e-300:
         return theta, 0.0
-    phi = np.angle(b) - np.angle(a)
-    return theta, _wrap_phi(float(phi))
-
-
-def _embed(n: int, m: int, block: np.ndarray) -> np.ndarray:
-    full = np.eye(n, dtype=complex)
-    full[m : m + 2, m : m + 2] = block
-    return full
+    return theta, _wrap_phi(cmath.phase(b) - cmath.phase(a))
 
 
 def _push_through_diagonal(
     theta: float, phi: float, d0: complex, d1: complex
 ) -> tuple[float, float, complex, complex]:
     """Rewrite T(theta,phi)^{-1} @ diag(d0,d1) as diag(d0',d1') @ T(t',p')."""
-    x = lossless_cell(theta, phi).conj().T @ np.diag([d0, d1])
-    theta_p = 2.0 * math.atan2(abs(x[0, 0]), abs(x[0, 1]))
+    (t00, t01), (t10, t11) = _cell(theta, phi)
+    # x = T^H @ diag(d0, d1)
+    x00, x01 = t00.conjugate() * d0, t10.conjugate() * d1
+    x10, x11 = t01.conjugate() * d0, t11.conjugate() * d1
+    theta_p = 2.0 * math.atan2(abs(x00), abs(x01))
     s, c = math.sin(theta_p / 2.0), math.cos(theta_p / 2.0)
-    base = 1j * np.exp(1j * theta_p / 2.0)
+    base = 1j * cmath.exp(1j * theta_p / 2.0)
     eps = 1e-12
     if c > eps and s > eps:
-        d0p = x[0, 1] / (base * c)
-        ephi = x[0, 0] / (d0p * base * s)
-        d1p = x[1, 0] / (base * c * ephi)
-        phi_p = _wrap_phi(float(np.angle(ephi)))
+        d0p = x01 / (base * c)
+        ephi = x00 / (d0p * base * s)
+        d1p = x10 / (base * c * ephi)
+        phi_p = _wrap_phi(cmath.phase(ephi))
     elif s <= eps:  # bar-like: off-diagonal of T' vanishes on the diagonal
         phi_p = 0.0
-        d0p = x[0, 1] / base
-        d1p = x[1, 0] / base
+        d0p = x01 / base
+        d1p = x10 / base
     else:  # c <= eps, cross-like
         phi_p = 0.0
-        d0p = x[0, 0] / (base * s)
-        d1p = -x[1, 1] / (base * s)
+        d0p = x00 / (base * s)
+        d1p = -x11 / (base * s)
     return theta_p, phi_p, d0p, d1p
 
 
@@ -195,7 +197,8 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarr
 
     Returns a mesh of exactly N(N-1)/2 MZIs plus a per-port output phase
     screen, such that ``clements_reconstruct(mesh, n, screen)`` reproduces
-    ``u``.
+    ``u``. Each nulling rotates two columns or two rows in place: O(N^3)
+    arithmetic in O(N^2) scalar steps.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
@@ -208,7 +211,7 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarr
         )
 
     v = u.copy()
-    rights: list[tuple[int, float, float]] = []  # (mode, theta, phi)
+    applied: list[tuple[int, float, float]] = []  # (mode, theta, phi)
     lefts: list[tuple[int, float, float]] = []
 
     for i in range(n - 1):
@@ -216,38 +219,31 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarr
             if i % 2 == 0:
                 # Null v[n-1-j, i-j] from the right on modes (i-j, i-j+1).
                 m, r = i - j, n - 1 - j
-                theta, phi = _null_right(v[r, m], v[r, m + 1])
-                tinv = _embed(n, m, lossless_cell(theta, phi).conj().T)
-                v = v @ tinv
-                rights.append((m, theta, phi))
+                theta, phi = _null_right(complex(v[r, m]), complex(v[r, m + 1]))
+                tinv = np.array(_cell(theta, phi)).conj().T
+                v[:, m : m + 2] = v[:, m : m + 2] @ tinv
+                applied.append((m, theta, phi))
             else:
                 # Null v[n-1-i+j, j] from the left on rows above it.
                 r = n - 1 - i + j
-                theta, phi = _null_left(v[r - 1, j], v[r, j])
-                t = _embed(n, r - 1, lossless_cell(theta, phi))
-                v = t @ v
+                theta, phi = _null_left(complex(v[r - 1, j]), complex(v[r, j]))
+                v[r - 1 : r + 1, :] = np.array(_cell(theta, phi)) @ v[r - 1 : r + 1, :]
                 lefts.append((r - 1, theta, phi))
 
-    diag = np.diagonal(v).copy()
+    diag = np.diagonal(v).tolist()
     if np.max(np.abs(v - np.diag(diag))) > 1e3 * tol:
         raise ValueError("nulling did not reach diagonal form")
 
     # U = L1^-1 ... Lp^-1 D Rq ... R1; fold each left inverse through the
-    # diagonal so everything becomes screen @ (ordinary MZI factors).
-    middle: list[tuple[int, float, float]] = []
+    # diagonal, last first, so everything becomes screen @ (ordinary MZI
+    # factors) and the folded factors apply to the input after the rights.
     for m, theta, phi in reversed(lefts):
-        theta_p, phi_p, d0p, d1p = _push_through_diagonal(
+        theta_p, phi_p, diag[m], diag[m + 1] = _push_through_diagonal(
             theta, phi, diag[m], diag[m + 1]
         )
-        diag[m], diag[m + 1] = d0p, d1p
-        middle.insert(0, (m, theta_p, phi_p))
+        applied.append((m, theta_p, phi_p))
 
-    # Matrix product order: u = diag(screen) . middle[0..p-1] . R_q ... R_1.
-    # Applied-first-to-last order on the input is therefore rights in
-    # recorded order, then middle reversed.
-    applied = rights + [f for f in reversed(middle)]
-
-    next_col = np.zeros(n, dtype=int)
+    next_col = [0] * n
     columns = np.zeros(len(applied), dtype=int)
     for k, (m, _, _) in enumerate(applied):
         columns[k] = max(next_col[m], next_col[m + 1])
@@ -347,9 +343,13 @@ def _mesh_to_dict(mesh: Mesh, role: str) -> list[dict]:
     return [{"placements": cols[c]} for c in sorted(cols)]
 
 
-def _mesh_from_dict(columns: list[dict]) -> Mesh:
-    """Columns are re-indexed in list order."""
+def _mesh_from_dict(columns: list[dict], span: int) -> Mesh:
+    """Columns re-indexed in list order; each MZI spans ``span`` consecutive rows."""
     entries = [(c, e) for c, col in enumerate(columns) for e in col["placements"]]
+    for _, e in entries:
+        rows = e["rows"]
+        if not rows or rows != list(range(rows[0], rows[0] + span)):
+            raise ValueError(f"MZI rows {rows} are not {span} consecutive waveguides")
     return Mesh(
         [c for c, _ in entries],
         [e["rows"][0] for _, e in entries],
@@ -389,11 +389,11 @@ def layout_from_json(text: str) -> LayerLayout:
     doc = json.loads(text)
     return LayerLayout(
         n=int(doc["n"]),
-        v_mesh=_mesh_from_dict(doc["v_mesh"]["columns"]),
+        v_mesh=_mesh_from_dict(doc["v_mesh"]["columns"], 2),
         v_screen=np.asarray(doc["v_mesh"]["phase_screen"], dtype=float),
-        sigma_stage=_mesh_from_dict([doc["sigma_stage"]]),
+        sigma_stage=_mesh_from_dict([doc["sigma_stage"]], 1),
         s_max=float(doc["sigma_stage"]["s_max"]),
-        u_mesh=_mesh_from_dict(doc["u_mesh"]["columns"]),
+        u_mesh=_mesh_from_dict(doc["u_mesh"]["columns"], 2),
         u_screen=np.asarray(doc["u_mesh"]["phase_screen"], dtype=float),
         gain_db=float(doc["gain_db"]),
         nau_loss_db=float(doc["nau_loss_db"]),

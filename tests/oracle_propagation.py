@@ -20,7 +20,7 @@ from spnn.device import (
     crosstalk_mean_db,
     mzi_transfer,
 )
-from spnn.mesh import LayerLayout, Mesh, lossless_cell
+from spnn.mesh import LayerLayout, Mesh, lossless_cells
 from spnn.numerics import Rng, db_to_field, dbm_to_mw
 from spnn.propagation import NetworkSpec, PropagationResult
 
@@ -87,7 +87,7 @@ class _LayerEngine:
         key = (phases.theta, phases.phi)
         if key not in self._cell_cache:
             if self.mode == "ideal":
-                self._cell_cache[key] = lossless_cell(phases.theta, phases.phi)
+                self._cell_cache[key] = lossless_cells(phases.theta, phases.phi)
             else:
                 self._cell_cache[key] = mzi_transfer(self.p, phases)
         return self._cell_cache[key]

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracle_clements as oracle
 from spnn.mesh import (
     LayerLayout,
     Mesh,
@@ -17,15 +20,36 @@ from spnn.mesh import (
     diagonal_to_attenuators,
     layout_from_json,
     layout_to_json,
-    lossless_cell,
     lossless_cells,
 )
 from spnn.numerics import Rng, random_unitary
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8])
-def test_decompose_reconstruct_round_trip(n):
-    u = random_unitary(n, Rng(n))
+def _random(n):
+    return random_unitary(n, Rng(n))
+
+
+_DEGENERATE = {
+    "identity": lambda n: np.eye(n),
+    "reversal": lambda n: np.eye(n)[::-1],
+    "shift": lambda n: np.roll(np.eye(n), 1, axis=0),
+    "phases": lambda n: np.diag(np.exp(1j * Rng(n).uniform(0.0, 2.0 * math.pi, n))),
+}
+
+
+# Permutations and diagonals reach the bar- and cross-like branches of the
+# push through the diagonal and the zero-amplitude returns of the nullings.
+@pytest.mark.parametrize(
+    "n, make",
+    [pytest.param(n, _random, id=str(n)) for n in (2, 3, 4, 8)]
+    + [
+        pytest.param(n, make, id=f"{kind}-{n}")
+        for kind, make in _DEGENERATE.items()
+        for n in (2, 3, 4, 7)
+    ],
+)
+def test_decompose_reconstruct_round_trip(n, make):
+    u = make(n)
     mesh, screen = clements_decompose(u)
     rebuilt = clements_reconstruct(mesh, n, screen)
     assert np.max(np.abs(rebuilt - u)) < 1e-10
@@ -58,6 +82,21 @@ def test_no_two_mzis_share_a_waveguide_in_a_column():
     assert np.all(np.diff(mesh.column) >= 0)  # light order
 
 
+@given(n=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+def test_decompose_matches_dense_oracle(n, seed):
+    u = random_unitary(n, Rng(seed))
+    mesh, screen = clements_decompose(u)
+    want, want_screen = oracle.clements_decompose(u)
+    np.testing.assert_array_equal(mesh.column, want.column)
+    np.testing.assert_array_equal(mesh.row, want.row)
+    np.testing.assert_allclose(mesh.theta, want.theta, rtol=0, atol=1e-9)
+    # phi wraps at 2*pi, so phases are compared as phasors.
+    for got, ref in ((mesh.phi, want.phi), (screen, want_screen)):
+        np.testing.assert_allclose(
+            np.exp(1j * got), np.exp(1j * ref), rtol=0, atol=1e-9
+        )
+
+
 def test_decompose_rejects_non_unitary():
     w = Rng(1).standard_normal((4, 4))
     with pytest.raises(ValueError):
@@ -66,7 +105,8 @@ def test_decompose_rejects_non_unitary():
 
 def test_lossless_cell_matches_reconstruction_convention():
     theta, phi = 0.9, 2.3
-    cell = lossless_cell(theta, phi)
+    cell = lossless_cells(theta, phi)
+    assert cell.shape == (2, 2)
     # Unitary and with the expected |entries| from the half-angle form.
     assert np.max(np.abs(cell @ cell.conj().T - np.eye(2))) < 1e-12
     assert abs(cell[0, 0]) == pytest.approx(math.sin(theta / 2.0))
@@ -80,7 +120,7 @@ def test_lossless_cells_on_arrays_equal_per_cell():
     cells = lossless_cells(theta, phi)
     assert cells.shape == (9, 2, 2)
     for k in range(9):
-        assert cells[k].tobytes() == lossless_cell(theta[k], phi[k]).tobytes()
+        assert cells[k].tobytes() == lossless_cells(theta[k], phi[k]).tobytes()
 
 
 def test_diagonal_to_attenuators_normalizes_to_unity():
@@ -176,6 +216,14 @@ def _missing_sigma_row(doc):
     doc["sigma_stage"]["placements"][3]["rows"] = [4]  # no attenuator on row 3
 
 
+def _rows_not_adjacent(doc):
+    _first_mzi(doc)["rows"] = [0, 3]
+
+
+def _one_phase_screen(doc):
+    doc["v_mesh"]["phase_screen"] = [0.3]  # one phase for four ports
+
+
 def _theta_above_pi(doc):
     _first_mzi(doc)["theta"] = math.pi + 1e-6
 
@@ -189,6 +237,8 @@ def _theta_above_pi(doc):
         (_shifted_into_neighbour, "share a waveguide"),
         (_duplicate_sigma_row, "attenuator k on row k"),
         (_missing_sigma_row, "attenuator k on row k"),
+        (_rows_not_adjacent, "consecutive"),
+        (_one_phase_screen, "one phase per port"),
         (_theta_above_pi, "theta"),
     ],
 )
