@@ -13,8 +13,10 @@ Three layers of functionality:
 Conventions:
 
 * Per-port insertion loss is the coherent lossy/lossless output power
-  ratio for an equal-power random-phase probe input. Ratio averages are
-  formed in the linear domain and quoted in dB.
+  ratio for an equal-power random-phase probe input. The lossy output is
+  read off the crosstalk pass's suffix transfer (``result.transfer @ x``),
+  so IL and crosstalk come from one lossy walk. Ratio averages are formed
+  in the linear domain and quoted in dB.
 * Layer-level crosstalk uses physical ("field") leak powers, no gain.
   Network-level crosstalk and accuracy evaluation use the power-budget
   ledger (``leak_birth="nominal"``).
@@ -94,9 +96,6 @@ class PenaltyReport:
     worst_dbm: float
     infeasible: np.ndarray  # bool per port: crosstalk >= signal, no margin
     il_db: np.ndarray
-    xp_dbm: np.ndarray
-    sigma_deficit_db: float
-    sensitivity_dbm: float
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,6 @@ class AccuracyResult:
 
     accuracy_pct: float
     n_samples: int
-    params: MziParams
-    crosstalk: bool
 
 
 @dataclass
@@ -158,22 +155,21 @@ def _port_ratios(lossy_pow, ideal_pow, input_pow: float) -> np.ndarray:
 
 
 def _il_ratios(
+    result: PropagationResult,
     layers: list[LayerLayout],
     p: MziParams,
     x: np.ndarray,
-    include_gain: bool,
 ) -> np.ndarray:
-    """Per-port lossy/ideal output power ratios for one input field; NaN on
-    a port the ideal network leaves dark."""
-    lossy = x.copy()
-    ideal = x.copy()
+    """Per-port lossy/ideal output power ratios for the input field ``x``;
+    NaN on a port the ideal network leaves dark. The lossy output is
+    ``result.transfer @ x``, gain included where the crosstalk pass that
+    made ``result`` applied it."""
+    ideal = x
     for layout in layers:
-        lossy = propagate_signal(
-            layout, p, lossy, mode="lossy", include_gain=include_gain
-        )
         ideal = propagate_signal(layout, p, ideal, mode="ideal")
     input_pow = np.sum(np.abs(x) ** 2)
-    return _port_ratios(np.abs(lossy) ** 2, np.abs(ideal) ** 2, input_pow)
+    lossy_pow = np.abs(result.transfer @ x) ** 2
+    return _port_ratios(lossy_pow, np.abs(ideal) ** 2, input_pow)
 
 
 # --------------------------------------------------------------------------
@@ -190,9 +186,8 @@ def _layer_trial(
     r = Rng(seed)
     layout = compile_layer(r.standard_normal((n, n)))
     x = random_phase_input(n, r) * math.sqrt(launch_mw)
-    ratios = _il_ratios([layout], p, x, include_gain=False)
-    res = propagate_with_crosstalk(layout, p, x, rng=r, include_gain=False)
-    return ratios, np.abs(res.leak_fields)
+    res = propagate_with_crosstalk(layout, p, x, rng=r)
+    return _il_ratios(res, [layout], p, x), np.abs(res.leak_fields)
 
 
 def layer_statistics(
@@ -253,12 +248,12 @@ def network_statistics(
         r = Rng(seed + i)
         layers = _random_layers(n, m, r)
         x = random_phase_input(n, r)
-        ratio = _il_ratios(layers, p, x, include_gain=True)
-        ratios.append(ratio)
-        per_matrix_max.append(power_to_db(ratio).max())
         res = network_cascade(
             NetworkSpec(layers, p), x, rng=r, leak_birth="nominal"
         )
+        ratio = _il_ratios(res, layers, p, x)
+        ratios.append(ratio)
+        per_matrix_max.append(power_to_db(ratio).max())
         amps = np.abs(res.leak_fields)
         xp_total.append(float(np.sum(amps**2)))
         xp_aligned.append(float(np.sum(np.sum(amps, axis=1) ** 2)))
@@ -305,7 +300,7 @@ def power_penalty(
         raise ValueError(f"unknown mode {mode!r}")
     if x is None:
         x = spec.launch_field()
-    il_db = power_to_db(_il_ratios(spec.layers, spec.params, x, include_gain=True))
+    il_db = power_to_db(_il_ratios(result, spec.layers, spec.params, x))
     amps = np.abs(result.leak_fields)
     aligned_mw = np.sum(amps, axis=1) ** 2
     if mode == "worst":
@@ -315,8 +310,7 @@ def power_penalty(
     xp_dbm = mw_to_dbm(xp_mw) - spec.input_power_dbm
     sig_amp = np.abs(result.signal)
     infeasible = np.sqrt(aligned_mw) >= sig_amp
-    s = spec.photodetector_sensitivity_dbm
-    per_port = s + il_db + np.maximum(0.0, xp_dbm)
+    per_port = spec.photodetector_sensitivity_dbm + il_db + np.maximum(0.0, xp_dbm)
     lit = per_port[~np.isnan(il_db)]  # a dark port needs no launch power
     return PenaltyReport(
         per_port_penalty_dbm=per_port,
@@ -324,9 +318,6 @@ def power_penalty(
         worst_dbm=float(lit.max()) if lit.size else math.nan,
         infeasible=infeasible,
         il_db=il_db,
-        xp_dbm=xp_dbm,
-        sigma_deficit_db=float(sum(l.sigma_deficit_db() for l in spec.layers)),
-        sensitivity_dbm=s,
     )
 
 
@@ -467,9 +458,7 @@ def train_reference(
     rng: Rng | None = None,
     lr: float = 0.02,
     bias: float = 0.1,
-    batch: int = 0,
     temp: float = 400.0,
-    unit_norm: bool = True,
 ) -> TrainResult:
     """Train the ideal (lossless, crosstalk-free) reference model.
 
@@ -477,11 +466,11 @@ def train_reference(
     weights; classes are read out as output-port indices, so the dataset
     may use at most N classes.
 
-    With ``unit_norm`` each layer is projected to spectral norm <= 1 after
-    every step, so the compiled passive mesh realizes the weights at (or
-    above) scale 1 and the model cannot rely on digital amplification to
-    clear the activation threshold. ``temp`` is the readout temperature
-    applied to output-port powers inside the training softmax.
+    Each layer is projected to spectral norm <= 1 after every step, so the
+    compiled passive mesh realizes the weights at (or above) scale 1 and
+    the model cannot rely on digital amplification to clear the activation
+    threshold. ``temp`` is the readout temperature applied to output-port
+    powers inside the training softmax.
     """
     n, m = shape
     if dataset.n_features != n:
@@ -499,36 +488,22 @@ def train_reference(
     model = ComplexMlp(weights, bias=bias)
     x_all = dataset.features.T.copy()
     y_all = dataset.labels
-    s = x_all.shape[1]
     mom = [np.zeros_like(w) for w in weights]
     vel = [np.zeros(w.shape) for w in weights]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     curve = []
-    step = 0
-    for epoch in range(epochs):
-        if batch and batch < s:
-            order = rng.permutation(s)
-            slices = [order[i : i + batch] for i in range(0, s, batch)]
-        else:
-            slices = [np.arange(s)]
-        epoch_loss = 0.0
-        for idx in slices:
-            loss, grads = _loss_and_grads(
-                model, x_all[:, idx], y_all[idx], temp=temp
-            )
-            epoch_loss += loss * len(idx) / s
-            step += 1
-            for k, g in enumerate(grads):
-                mom[k] = beta1 * mom[k] + (1 - beta1) * g
-                vel[k] = beta2 * vel[k] + (1 - beta2) * np.abs(g) ** 2
-                m_hat = mom[k] / (1 - beta1**step)
-                v_hat = vel[k] / (1 - beta2**step)
-                model.weights[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-                if unit_norm:
-                    top = _layer_smax(model.weights[k])
-                    if top > 1.0:
-                        model.weights[k] /= top
-        curve.append(epoch_loss)
+    for step in range(1, epochs + 1):
+        loss, grads = _loss_and_grads(model, x_all, y_all, temp=temp)
+        for k, g in enumerate(grads):
+            mom[k] = beta1 * mom[k] + (1 - beta1) * g
+            vel[k] = beta2 * vel[k] + (1 - beta2) * np.abs(g) ** 2
+            m_hat = mom[k] / (1 - beta1**step)
+            v_hat = vel[k] / (1 - beta2**step)
+            model.weights[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            top = _layer_smax(model.weights[k])
+            if top > 1.0:
+                model.weights[k] /= top
+        curve.append(loss)
     acc = 100.0 * float(np.mean(model.predict(dataset.features) == y_all))
     converged = bool(np.isfinite(curve[-1]) and curve[-1] < curve[0])
     return TrainResult(model, curve, acc, converged)
@@ -567,13 +542,7 @@ def accuracy_eval(
         s_max = _layer_smax(w)
         if crosstalk:
             res = propagate_with_crosstalk(
-                layout,
-                p,
-                a,
-                rng=rng,
-                include_gain=False,
-                leak_birth="nominal",
-                nominal_power_mw=1.0,
+                layout, p, a, rng=rng, leak_birth="nominal"
             )
             out = resolve_crosstalk_fields(res, rng)
         else:
@@ -582,11 +551,19 @@ def accuracy_eval(
         a = model.activation(out) if k < len(model.weights) - 1 else out
     pred = np.argmax(np.abs(a) ** 2, axis=0)
     acc = 100.0 * float(np.mean(pred == dataset.labels))
-    return AccuracyResult(acc, dataset.n_samples, p, crosstalk)
+    return AccuracyResult(acc, dataset.n_samples)
 
 
 def _layer_smax(w: np.ndarray) -> float:
     return float(np.linalg.svd(w, compute_uv=False)[0])
+
+
+def _one_axis_params(which: str, value: float) -> MziParams:
+    """Device parameters with loss axis ``which`` at ``value`` dB and the
+    other two at 0 dB."""
+    alphas = dict.fromkeys(EXPECTED_ALPHA_RANGES, 0.0)
+    alphas[which] = float(value)
+    return params_with_alphas(**alphas)
 
 
 def loss_sweep(
@@ -600,15 +577,10 @@ def loss_sweep(
         raise ValueError(
             f"unknown loss axis {which!r}; options {sorted(EXPECTED_ALPHA_RANGES)}"
         )
-    out = []
-    for value in grid:
-        alphas = {k: 0.0 for k in EXPECTED_ALPHA_RANGES}
-        alphas[which] = float(value)
-        p = params_with_alphas(
-            alphas["alpha_l_db"], alphas["alpha_m_db"], alphas["alpha_prop_db"]
-        )
-        out.append(accuracy_eval(model, dataset, p, crosstalk=False))
-    return out
+    return [
+        accuracy_eval(model, dataset, _one_axis_params(which, value))
+        for value in grid
+    ]
 
 
 def joint_loss_sample(
@@ -616,13 +588,12 @@ def joint_loss_sample(
     dataset: FeatureDataset,
     n_instances: int,
     rng: Rng,
-    loc_at_min: bool = True,
 ) -> list[tuple[float, float, float, float]]:
     """Sample loss triples from per-axis half-normals and evaluate accuracy.
 
-    Each axis draws ``loc + |N(0, sigma)|`` with ``3 sigma`` at the expected
-    maximum; ``loc`` is the expected minimum (or 0 when ``loc_at_min`` is
-    false). Returns (alpha_l, alpha_m, alpha_prop, accuracy_pct) rows.
+    Each axis draws ``lo + |N(0, sigma)|`` with ``lo`` the expected minimum
+    and ``3 sigma`` at the expected maximum. Returns (alpha_l, alpha_m,
+    alpha_prop, accuracy_pct) rows.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
@@ -630,11 +601,8 @@ def joint_loss_sample(
     for _ in range(n_instances):
         draws = {}
         for key, (lo, hi) in EXPECTED_ALPHA_RANGES.items():
-            loc = lo if loc_at_min else 0.0
-            draws[key] = float(rng.half_normal(loc, hi / 3.0))
-        p = params_with_alphas(
-            draws["alpha_l_db"], draws["alpha_m_db"], draws["alpha_prop_db"]
-        )
+            draws[key] = float(rng.half_normal(lo, hi / 3.0))
+        p = params_with_alphas(**draws)
         acc = accuracy_eval(model, dataset, p, crosstalk=False).accuracy_pct
         rows.append(
             (
@@ -651,11 +619,11 @@ def tolerance_search(
     model: ComplexMlp,
     dataset: FeatureDataset,
     max_drop_pct: float,
-    upper: dict | None = None,
-    iterations: int = 18,
 ) -> dict:
     """Largest single-axis loss keeping accuracy within ``max_drop_pct`` of
-    the zero-loss accuracy (other axes at 0, crosstalk off, bisection)."""
+    the zero-loss accuracy (other axes at 0, crosstalk off): 4x the
+    expected maximum if accuracy still passes there, else 18 bisection
+    steps over [0, 4x the expected maximum]."""
     if max_drop_pct <= 0:
         raise ValueError("max_drop_pct must be > 0")
     nominal = accuracy_eval(
@@ -663,17 +631,12 @@ def tolerance_search(
     ).accuracy_pct
     floor = nominal - max_drop_pct
     out = {}
-    for key, (lo, hi) in EXPECTED_ALPHA_RANGES.items():
-        top = (upper or {}).get(key, 4.0 * hi)
-        ok, bad = 0.0, None
-        # Find a failing upper bracket first (the whole box may pass).
-        probe = top
-        acc = _axis_accuracy(model, dataset, key, probe)
-        if acc >= floor:
-            out[key] = probe
+    for key, (_, hi) in EXPECTED_ALPHA_RANGES.items():
+        ok, bad = 0.0, 4.0 * hi
+        if _axis_accuracy(model, dataset, key, bad) >= floor:
+            out[key] = bad
             continue
-        bad = probe
-        for _ in range(iterations):
+        for _ in range(18):
             mid = 0.5 * (ok + bad)
             if _axis_accuracy(model, dataset, key, mid) >= floor:
                 ok = mid
@@ -684,11 +647,7 @@ def tolerance_search(
 
 
 def _axis_accuracy(model, dataset, key, value) -> float:
-    alphas = {k: 0.0 for k in EXPECTED_ALPHA_RANGES}
-    alphas[key] = value
-    p = params_with_alphas(
-        alphas["alpha_l_db"], alphas["alpha_m_db"], alphas["alpha_prop_db"]
-    )
+    p = _one_axis_params(key, value)
     return accuracy_eval(model, dataset, p, crosstalk=False).accuracy_pct
 
 
@@ -698,15 +657,13 @@ def crosstalk_grid(
     xb_grid,
     xc_grid,
     rng: Rng,
-    alphas_at_min: bool = True,
 ) -> np.ndarray:
     """Accuracy matrix over (X_B, X_C) pairs with losses at expected minima.
 
     Cells violating the X_B <= X_C ordering are skipped (NaN).
     """
-    lo = {k: v[0] if alphas_at_min else 0.0 for k, v in EXPECTED_ALPHA_RANGES.items()}
     base = params_with_alphas(
-        lo["alpha_l_db"], lo["alpha_m_db"], lo["alpha_prop_db"]
+        **{k: lo for k, (lo, _) in EXPECTED_ALPHA_RANGES.items()}
     )
     grid = np.full((len(xb_grid), len(xc_grid)), np.nan)
     for i, xb in enumerate(xb_grid):

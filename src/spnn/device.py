@@ -176,7 +176,6 @@ def mzi_with_crosstalk(
     inputs: np.ndarray,
     rng: Rng | None = None,
     x_db: float | None = None,
-    literal_leak_scalars: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the MZI output into routed signal and first-order leak.
 
@@ -184,19 +183,12 @@ def mzi_with_crosstalk(
     ``sqrt(1-X)`` on the signal and ``sqrt(X)`` on the leak with
     ``X = 10**(x_db/10)``, so the leak *power* is exactly X times the routed
     power and signal+leak power equals the lossy-T output power.
-    ``literal_leak_scalars`` switches to the raw (1-X)/X amplitude scalars
-    (leak power then scales as X^2) for sensitivity studies.
     """
     inputs = np.asarray(inputs, dtype=complex)
     t = mzi_transfer(p, ph)
     if x_db is None:
         x_db = crosstalk_coefficient(p, ph.theta, rng)
     x_lin = 10.0 ** (x_db / 10.0)
-    t_swapped = t[::-1, :]
-    if literal_leak_scalars:
-        sig_f, leak_f = 1.0 - x_lin, x_lin
-    else:
-        sig_f, leak_f = math.sqrt(1.0 - x_lin), math.sqrt(x_lin)
-    signal_out = sig_f * (t @ inputs)
-    leak_out = leak_f * (t_swapped @ inputs)
+    signal_out = math.sqrt(1.0 - x_lin) * (t @ inputs)
+    leak_out = math.sqrt(x_lin) * (t[::-1, :] @ inputs)
     return signal_out, leak_out

@@ -16,7 +16,9 @@ the current point to the output (S = I at the output). At each mesh MZI it
 maps that MZI's leak to the output, S[:, r:r+2] @ leak, and then folds the
 MZI's 2x2 cell into two columns of S; screens, attenuators and gains scale
 the columns of S. Under the first-order model this is exact, and each leak
-costs O(N) instead of a push through every later MZI. Leak fields are
+costs O(N) instead of a push through every later MZI. At the input S is
+the whole lossy crosstalk-free transfer; it is returned with the result,
+so insertion loss needs no second lossy walk. Leak fields are
 phase-resolved only at measurement points via Monte-Carlo interference.
 """
 
@@ -55,11 +57,13 @@ class PropagationResult:
 
     ``leak_fields`` has shape (N, K) (or (N, K, S) for batched inputs):
     one column per source MZI, spread over all N output ports.
+    ``transfer`` (N, N) is the lossy crosstalk-free transfer from the input
+    to the measurement point, gain included where the pass applied it.
     """
 
     signal: np.ndarray
     leak_fields: np.ndarray
-    birth_power: np.ndarray  # (K,) or (K, S): total leak power at spawn time
+    transfer: np.ndarray
 
 
 @dataclass
@@ -156,9 +160,9 @@ def _signal_pass(
     p: MziParams,
     signal: np.ndarray,
     mode: str,
-    include_gain: bool,
 ) -> np.ndarray:
-    """Crosstalk-free propagation; mutates ``signal`` (N, ...) in place."""
+    """Crosstalk-free propagation without gain; mutates ``signal`` (N, ...)
+    in place."""
     for layout in layers:
         for stage in _stages(layout, p, mode):
             if isinstance(stage, _CellMesh):
@@ -166,8 +170,6 @@ def _signal_pass(
                     _apply_rows(signal, r, t2)
             else:
                 _scale_ports(signal, stage)
-        if include_gain:
-            signal *= _gain(layout)
     return signal
 
 
@@ -181,8 +183,8 @@ def _nominal_mw(leak_birth: str, launch_mw: float) -> float | None:
 
 def _split(signal: np.ndarray, r: int, t2: np.ndarray, x_db: float, nominal_mw):
     """Routes rows r, r+1 of ``signal`` through ``t2`` in place, keeping
-    sqrt(1-X) of the field; returns the newborn leak (2, B) and its power per
-    sample (B,), booked at X * ``nominal_mw`` unless that is None."""
+    sqrt(1-X) of the field; returns the newborn leak (2, B), rescaled to a
+    power per sample of X * ``nominal_mw`` unless that is None."""
     x_lin = 10.0 ** (x_db / 10.0)
     sub = signal[r : r + 2].reshape(2, -1)
     routed = t2 @ sub
@@ -190,17 +192,15 @@ def _split(signal: np.ndarray, r: int, t2: np.ndarray, x_db: float, nominal_mw):
     signal[r : r + 2] = (math.sqrt(1.0 - x_lin) * routed).reshape(
         signal[r : r + 2].shape
     )
-    born = np.sum(np.abs(leak2) ** 2, axis=0)
     if nominal_mw is not None:
         # Power-budget ledger: every leak is booked at X times the nominal
         # launch power, regardless of how much the local signal has already
         # been attenuated. The physical leak direction is kept.
-        target = x_lin * nominal_mw
+        born = np.sum(np.abs(leak2) ** 2, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(born > 0.0, np.sqrt(target / born), 0.0)
+            scale = np.where(born > 0.0, np.sqrt(x_lin * nominal_mw / born), 0.0)
         leak2 = leak2 * scale
-        born = np.where(born > 0.0, target, 0.0)
-    return leak2, born
+    return leak2
 
 
 def _crosstalk_pass(
@@ -214,11 +214,11 @@ def _crosstalk_pass(
     """Lossy propagation with first-order leaks: a forward pass that moves
     the signal, draws X per mesh MZI in light order and records every leak
     at birth, then one backward pass that maps every leak to the output
-    through the running suffix transfer."""
+    through the running suffix transfer, which ends as the whole network's
+    crosstalk-free transfer."""
     stages = [_stages(layout, p, "lossy") for layout in layers]
     k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
     leaks = np.zeros((signal.shape[0], k_total) + signal.shape[1:], dtype=complex)
-    birth_power = np.zeros((k_total,) + signal.shape[1:])
 
     slot = 0
     for layout, layer in zip(layers, stages):
@@ -230,9 +230,8 @@ def _crosstalk_pass(
                 stage.mesh.row.tolist(), stage.mesh.theta.tolist(), stage.cells
             ):
                 x_db = crosstalk_coefficient(p, theta, rng)
-                leak2, born = _split(signal, r, t2, x_db, nominal_mw)
+                leak2 = _split(signal, r, t2, x_db, nominal_mw)
                 leaks[r : r + 2, slot] = leak2.reshape(leaks[r : r + 2, slot].shape)
-                birth_power[slot] = born.reshape(np.shape(birth_power[slot]))
                 slot += 1
         if include_gain:
             signal *= _gain(layout)
@@ -252,7 +251,7 @@ def _crosstalk_pass(
                 at_birth = leaks[r : r + 2, slot].reshape(2, -1)
                 leaks[:, slot] = (pair @ at_birth).reshape(leaks[:, slot].shape)
                 suffix[:, r : r + 2] = pair @ t2
-    return PropagationResult(signal, leaks, birth_power)
+    return PropagationResult(signal, leaks, suffix)
 
 
 def _as_field_array(x, n: int) -> np.ndarray:
@@ -267,14 +266,13 @@ def propagate_signal(
     p: MziParams,
     x: np.ndarray,
     mode: str = "lossy",
-    include_gain: bool = False,
 ) -> np.ndarray:
-    """OIU-only propagation (no crosstalk). ``ideal`` mode uses zero-dB
-    losses so the result is exactly ``(w / s_max) @ x``; ``lossy`` applies
-    the full device model per placement. Gain/NAU factors only when asked.
+    """OIU-only propagation (no crosstalk, no gain). ``ideal`` mode uses
+    zero-dB losses so the result is exactly ``(w / s_max) @ x``; ``lossy``
+    applies the full device model per placement.
     """
     signal = _as_field_array(x, layout.n)
-    return _signal_pass([layout], p, signal, mode, include_gain)
+    return _signal_pass([layout], p, signal, mode)
 
 
 def propagate_with_crosstalk(
@@ -282,21 +280,20 @@ def propagate_with_crosstalk(
     p: MziParams,
     x: np.ndarray,
     rng: Rng | None = None,
-    include_gain: bool = False,
     leak_birth: str = "physical",
-    nominal_power_mw: float = 1.0,
 ) -> PropagationResult:
-    """Lossy propagation with per-MZI crosstalk injection (single layer)."""
-    nominal_mw = _nominal_mw(leak_birth, nominal_power_mw)
+    """Lossy propagation with per-MZI crosstalk injection through one layer's
+    meshes, without its gain. ``leak_birth="nominal"`` books each leak at X
+    times 1 mW."""
+    nominal_mw = _nominal_mw(leak_birth, 1.0)
     signal = _as_field_array(x, layout.n)
-    return _crosstalk_pass([layout], p, signal, rng, nominal_mw, include_gain)
+    return _crosstalk_pass([layout], p, signal, rng, nominal_mw, include_gain=False)
 
 
 def network_cascade(
     spec: NetworkSpec,
     x: np.ndarray | None = None,
     rng: Rng | None = None,
-    crosstalk: bool = True,
     leak_birth: str = "physical",
 ) -> PropagationResult:
     """Feed layer outputs forward through all M layers.
@@ -312,10 +309,6 @@ def network_cascade(
         x = spec.launch_field()
     signal = _as_field_array(x, spec.n)
     nominal_mw = _nominal_mw(leak_birth, dbm_to_mw(spec.input_power_dbm))
-    if not crosstalk:
-        _signal_pass(spec.layers, spec.params, signal, "lossy", include_gain=True)
-        leaks = np.zeros((spec.n, 0) + signal.shape[1:], dtype=complex)
-        return PropagationResult(signal, leaks, np.zeros((0,) + signal.shape[1:]))
     return _crosstalk_pass(
         spec.layers, spec.params, signal, rng, nominal_mw, include_gain=True
     )
@@ -329,24 +322,26 @@ def transfer_matrix(
     layers: list[LayerLayout],
     p: MziParams,
     mode: str = "lossy",
-    include_gain: bool = False,
 ) -> np.ndarray:
-    """End-to-end transfer matrix of the cascade (crosstalk off)."""
+    """End-to-end transfer matrix of the cascade (crosstalk and gain off)."""
     t = np.eye(layers[0].n, dtype=complex)
-    return _signal_pass(layers, p, t, mode, include_gain)
+    return _signal_pass(layers, p, t, mode)
 
 
 # --------------------------------------------------------------------------
 # Monte-Carlo coherent interference
 # --------------------------------------------------------------------------
 
+# Trials per phase draw in monte_carlo_interference. It bounds the (chunk, K)
+# phase arrays; the stream does not depend on it.
+_MC_CHUNK = 2000
+
+
 def monte_carlo_interference(
     amplitudes: np.ndarray,
     signal_amplitude: float,
     trials: int,
     rng: Rng,
-    chunk: int = 2000,
-    percentiles: tuple[float, ...] = (5.0, 25.0, 50.0, 75.0, 95.0),
 ) -> dict:
     """Resolve unresolved crosstalk phases on one port statistically.
 
@@ -366,7 +361,7 @@ def monte_carlo_interference(
     else:
         done = 0
         while done < trials:
-            m = min(chunk, trials - done)
+            m = min(_MC_CHUNK, trials - done)
             rho = rng.uniform(0.0, 2.0 * math.pi, size=(m, k))
             summed = np.exp(1j * rho) @ amplitudes.astype(complex)
             xtalk[done : done + m] = np.abs(summed) ** 2
@@ -376,14 +371,8 @@ def monte_carlo_interference(
     return {
         "received_mean_mw": float(received.mean()),
         "received_min_mw": float(received.min()),
-        "received_percentiles_mw": {
-            q: float(np.percentile(received, q)) for q in percentiles
-        },
         "xtalk_mean_mw": float(xtalk.mean()),
         "xtalk_max_mw": float(xtalk.max()),
-        "xtalk_percentiles_mw": {
-            q: float(np.percentile(xtalk, q)) for q in percentiles
-        },
         "xtalk_aligned_mw": aligned,
         "received_destructive_mw": max(0.0, signal_amplitude - math.sqrt(aligned))
         ** 2,

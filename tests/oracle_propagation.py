@@ -97,7 +97,7 @@ class _LayerEngine:
             return crosstalk_mean_db(self.p, theta)
         return crosstalk_coefficient(self.p, theta, self.rng)
 
-    def run(self, signal, leaks, spawn_slots=None, birth_power=None):
+    def run(self, signal, leaks, spawn_slots=None):
         """Mutates signal/leaks in place. ``spawn_slots`` is an iterator of
         column indices in ``leaks`` reserved for this layer's new leaks."""
         for block, role in ((self.layout.v_mesh, "v"), (self.layout.u_mesh, "u")):
@@ -117,25 +117,21 @@ class _LayerEngine:
                         signal[r : r + 2] = (sig_f * routed).reshape(
                             signal[r : r + 2].shape
                         )
-                        born = np.sum(np.abs(leak2) ** 2, axis=0)
                         if self.leak_birth == "nominal":
                             # Power-budget ledger: every leak is booked at
                             # X times the nominal launch power, regardless of
                             # how much the local signal has already been
                             # attenuated. The physical leak direction is kept.
+                            born = np.sum(np.abs(leak2) ** 2, axis=0)
                             target = x_lin * self.nominal_power_mw
                             with np.errstate(divide="ignore", invalid="ignore"):
                                 scale = np.where(
                                     born > 0.0, np.sqrt(target / born), 0.0
                                 )
                             leak2 = leak2 * scale
-                            born = np.where(born > 0.0, target, 0.0)
                         slot = next(spawn_slots)
                         leaks[r : r + 2, slot] = leak2.reshape(
                             leaks[r : r + 2, slot].shape
-                        )
-                        birth_power[slot] = born.reshape(
-                            np.shape(birth_power[slot])
                         )
                     else:
                         _apply_rows(signal, r, t2)
@@ -168,17 +164,14 @@ def propagate_signal(
     p: MziParams,
     x: np.ndarray,
     mode: str = "lossy",
-    include_gain: bool = False,
 ) -> np.ndarray:
-    """OIU-only propagation (no crosstalk). ``ideal`` mode uses zero-dB
-    losses so the result is exactly ``(w / s_max) @ x``; ``lossy`` applies
-    the full device model per placement. Gain/NAU factors only when asked.
+    """OIU-only propagation (no crosstalk, no gain). ``ideal`` mode uses
+    zero-dB losses so the result is exactly ``(w / s_max) @ x``; ``lossy``
+    applies the full device model per placement.
     """
     signal = _as_field_array(x, layout.n)
     engine = _LayerEngine(layout, p, mode)
     engine.run(signal, leaks=None)
-    if include_gain:
-        signal *= db_to_field(layout.nau_loss_db - layout.gain_db)
     return signal
 
 
@@ -187,31 +180,19 @@ def propagate_with_crosstalk(
     p: MziParams,
     x: np.ndarray,
     rng: Rng | None = None,
-    include_gain: bool = False,
     leak_birth: str = "physical",
-    nominal_power_mw: float = 1.0,
 ) -> PropagationResult:
-    """Lossy propagation with per-MZI crosstalk injection (single layer)."""
+    """Lossy propagation with per-MZI crosstalk injection through one
+    layer's meshes, without its gain; nominal leaks are booked at 1 mW."""
     signal = _as_field_array(x, layout.n)
     n_mesh = len(layout.v_mesh) + len(layout.u_mesh)
     leak_shape = (layout.n, n_mesh) + signal.shape[1:]
     leaks = np.zeros(leak_shape, dtype=complex)
-    birth_power = np.zeros((n_mesh,) + signal.shape[1:])
     engine = _LayerEngine(
-        layout,
-        p,
-        "lossy",
-        rng=rng,
-        crosstalk=True,
-        leak_birth=leak_birth,
-        nominal_power_mw=nominal_power_mw,
+        layout, p, "lossy", rng=rng, crosstalk=True, leak_birth=leak_birth
     )
-    engine.run(signal, leaks, iter(range(n_mesh)), birth_power)
-    if include_gain:
-        f = db_to_field(layout.nau_loss_db - layout.gain_db)
-        signal *= f
-        leaks *= f
-    return PropagationResult(signal, leaks, birth_power)
+    engine.run(signal, leaks, iter(range(n_mesh)))
+    return PropagationResult(signal, leaks, transfer_matrix([layout], p))
 
 
 def transfer_matrix(
@@ -235,7 +216,6 @@ def network_cascade(
     spec: NetworkSpec,
     x: np.ndarray | None = None,
     rng: Rng | None = None,
-    crosstalk: bool = True,
     leak_birth: str = "physical",
 ) -> PropagationResult:
     """Feed layer outputs forward through all M layers.
@@ -252,9 +232,7 @@ def network_cascade(
     signal = _as_field_array(x, spec.n)
 
     per_layer = [len(lay.v_mesh) + len(lay.u_mesh) for lay in spec.layers]
-    k_total = sum(per_layer) if crosstalk else 0
-    leaks = np.zeros((spec.n, k_total) + signal.shape[1:], dtype=complex)
-    birth_power = np.zeros((k_total,) + signal.shape[1:])
+    leaks = np.zeros((spec.n, sum(per_layer)) + signal.shape[1:], dtype=complex)
 
     offset = 0
     for m, layout in enumerate(spec.layers):
@@ -263,18 +241,14 @@ def network_cascade(
             spec.params,
             "lossy",
             rng=rng,
-            crosstalk=crosstalk,
+            crosstalk=True,
             leak_birth=leak_birth,
             nominal_power_mw=dbm_to_mw(spec.input_power_dbm),
         )
-        if crosstalk:
-            slots = iter(range(offset, offset + per_layer[m]))
-            engine.run(signal, leaks, slots, birth_power)
-            offset += per_layer[m]
-        else:
-            engine.run(signal, leaks=None)
+        engine.run(signal, leaks, iter(range(offset, offset + per_layer[m])))
+        offset += per_layer[m]
         f = db_to_field(layout.nau_loss_db - layout.gain_db)
         signal *= f
-        if crosstalk:
-            leaks[:, :offset] *= f
-    return PropagationResult(signal, leaks, birth_power)
+        leaks[:, :offset] *= f
+    transfer = transfer_matrix(spec.layers, spec.params, include_gain=True)
+    return PropagationResult(signal, leaks, transfer)

@@ -27,6 +27,7 @@ from spnn.propagation import (
     NetworkSpec,
     network_cascade,
     propagate_signal,
+    propagate_with_crosstalk,
 )
 
 
@@ -180,13 +181,16 @@ def test_dark_ideal_port_has_nan_insertion_loss():
     layout = compile_layer(np.diag([1.0, 0.0]))
     spec = NetworkSpec([layout], p)
     x = spec.launch_field()
-    for gain in (False, True):
-        ratios = _il_ratios([layout], p, x, include_gain=gain)
-        lossy = propagate_signal(layout, p, x, "lossy", include_gain=gain)
-        ideal = propagate_signal(layout, p, x, "ideal")
+    ideal = propagate_signal(layout, p, x, "ideal")
+    # Without gain (one layer's crosstalk pass) and with it (the cascade).
+    for res in (
+        propagate_with_crosstalk(layout, p, x, rng=Rng(1)),
+        network_cascade(spec, x, rng=Rng(1), leak_birth="nominal"),
+    ):
+        ratios = _il_ratios(res, [layout], p, x)
+        lossy = res.transfer @ x
         assert np.isnan(ratios[1])
         assert ratios[0] == np.abs(lossy[0]) ** 2 / np.abs(ideal[0]) ** 2
-    res = network_cascade(spec, x, rng=Rng(1), leak_birth="nominal")
     for mode in ("average", "worst"):
         report = power_penalty(spec, res, mode=mode, x=x)
         assert np.isnan(report.il_db[1]) and np.isnan(report.per_port_penalty_dbm[1])

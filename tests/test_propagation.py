@@ -113,12 +113,13 @@ def test_zero_crosstalk_matches_signal_path():
 
 
 def test_gain_applies_to_signal_and_leaks_alike():
+    """A one-layer cascade is the layer's crosstalk pass times its gain."""
     n = 4
     layout = compile_layer(Rng(9).standard_normal((n, n)))
     x = _random_field(n, 10)
     # X is drawn before any gain, so equal seeds give both calls equal X.
-    base = propagate_with_crosstalk(layout, P, x, rng=Rng(11), include_gain=False)
-    gained = propagate_with_crosstalk(layout, P, x, rng=Rng(11), include_gain=True)
+    base = propagate_with_crosstalk(layout, P, x, rng=Rng(11))
+    gained = network_cascade(NetworkSpec([layout], P), x, rng=Rng(11))
     factor = db_to_power(layout.nau_loss_db - layout.gain_db)
     np.testing.assert_allclose(
         np.abs(gained.signal) ** 2, factor * np.abs(base.signal) ** 2, rtol=1e-12
@@ -131,26 +132,27 @@ def test_gain_applies_to_signal_and_leaks_alike():
 
 
 def test_nominal_leak_birth_books_x_times_launch_power():
+    """A lossless layer of a unitary matrix keeps every stage unitary, so
+    each leak reaches the output with the power it was booked at: X times
+    the 1 mW nominal launch power."""
     n = 4
-    layout = compile_layer(Rng(12).standard_normal((n, n)))
+    p = P.lossless()
+    layout = compile_layer(random_unitary(n, Rng(12)))
     x = _random_field(n, 13)
-    launch_mw = 2.5
-    res = propagate_with_crosstalk(
-        layout, P, x, rng=None, leak_birth="nominal", nominal_power_mw=launch_mw
-    )
+    res = propagate_with_crosstalk(layout, p, x, rng=None, leak_birth="nominal")
     # rng=None draws the deterministic mean X, slot by slot in light order:
     # each mesh's MZIs column by column, the order a Mesh holds them in.
     assert np.all(np.diff(layout.v_mesh.column) >= 0)
     assert np.all(np.diff(layout.u_mesh.column) >= 0)
     thetas = np.concatenate([layout.v_mesh.theta, layout.u_mesh.theta])
-    assert len(thetas) == len(res.birth_power)
-    for slot, theta in enumerate(thetas):
-        x_lin = 10.0 ** (crosstalk_mean_db(P, theta) / 10.0)
-        born = res.birth_power[slot]
+    out_mw = np.sum(np.abs(res.leak_fields) ** 2, axis=0)
+    assert len(thetas) == len(out_mw)
+    for born, theta in zip(out_mw, thetas):
+        x_lin = 10.0 ** (crosstalk_mean_db(p, theta) / 10.0)
         # Either the MZI saw no light (nothing to leak) or the leak is
         # booked at exactly X times the nominal launch power.
         assert born == pytest.approx(0.0, abs=1e-18) or born == pytest.approx(
-            x_lin * launch_mw, rel=1e-12
+            x_lin, rel=1e-12
         )
 
 
@@ -183,12 +185,10 @@ def test_network_il_monotone_in_scale():
 def test_identity_network_with_lossless_params():
     n = 4
     layout = compile_layer(np.eye(n))
-    spec = NetworkSpec([layout], P.lossless())
-    res = network_cascade(spec, rng=None, crosstalk=False)
-    x = spec.launch_field()
+    res = network_cascade(NetworkSpec([layout], P.lossless()), rng=None)
     factor = db_to_power(layout.nau_loss_db - layout.gain_db)  # net gain
     np.testing.assert_allclose(
-        np.abs(res.signal) ** 2, factor * np.abs(x) ** 2, rtol=1e-9
+        np.abs(res.transfer) ** 2, factor * np.eye(n), rtol=1e-9, atol=1e-15
     )
 
 

@@ -3,7 +3,8 @@
 The adjoint engine in :mod:`spnn.propagation` (forward signal pass, one
 backward pass over the suffix transfer) is compared with the per-MZI
 forward-push oracle in ``oracle_propagation.py`` on identically seeded
-streams; the blocked leak resolution is compared with the one-shot formula.
+streams, and its final suffix with the oracle's lossy transfer matrix; the
+blocked leak resolution is compared with the one-shot formula.
 """
 
 import math
@@ -51,13 +52,15 @@ def _rng(seed):
 
 def _assert_agrees(res, ref):
     """Signal per sample and each source column's leaks (per sample) to
-    REL of their largest magnitude; birth power to REL."""
+    REL of their largest magnitude; the transfer, which the oracle forms
+    with ``oracle.transfer_matrix``, to REL of its largest magnitude."""
     assert res.leak_fields.shape == ref.leak_fields.shape
     sig_scale = np.max(np.abs(ref.signal), axis=0)
     assert np.all(np.abs(res.signal - ref.signal) <= REL * sig_scale)
     leak_scale = np.max(np.abs(ref.leak_fields), axis=0)
     assert np.all(np.abs(res.leak_fields - ref.leak_fields) <= REL * leak_scale)
-    np.testing.assert_allclose(res.birth_power, ref.birth_power, rtol=REL, atol=0)
+    transfer_scale = np.max(np.abs(ref.transfer))
+    assert np.all(np.abs(res.transfer - ref.transfer) <= REL * transfer_scale)
 
 
 @settings(max_examples=60)
@@ -68,18 +71,16 @@ def _assert_agrees(res, ref):
     seed=st.integers(0, 10_000),
     rng_seed=st.one_of(st.none(), st.integers(0, 10_000)),
     leak_birth=st.sampled_from(["physical", "nominal"]),
-    crosstalk=st.booleans(),
     params=st.sampled_from(PARAMS),
     launch=st.booleans(),
 )
 def test_network_cascade_matches_forward_push_oracle(
-    n, m, samples, seed, rng_seed, leak_birth, crosstalk, params, launch
+    n, m, samples, seed, rng_seed, leak_birth, params, launch
 ):
     spec = NetworkSpec(_layers(n, m, seed), params, input_power_dbm=1.5)
     x = None if launch else _field(n, samples, seed)
-    kwargs = dict(crosstalk=crosstalk, leak_birth=leak_birth)
-    res = network_cascade(spec, x, rng=_rng(rng_seed), **kwargs)
-    ref = oracle.network_cascade(spec, x, rng=_rng(rng_seed), **kwargs)
+    res = network_cascade(spec, x, rng=_rng(rng_seed), leak_birth=leak_birth)
+    ref = oracle.network_cascade(spec, x, rng=_rng(rng_seed), leak_birth=leak_birth)
     _assert_agrees(res, ref)
 
 
@@ -90,34 +91,33 @@ def test_network_cascade_matches_forward_push_oracle(
     seed=st.integers(0, 10_000),
     rng_seed=st.one_of(st.none(), st.integers(0, 10_000)),
     leak_birth=st.sampled_from(["physical", "nominal"]),
-    include_gain=st.booleans(),
     params=st.sampled_from(PARAMS),
 )
 def test_propagate_with_crosstalk_matches_forward_push_oracle(
-    n, samples, seed, rng_seed, leak_birth, include_gain, params
+    n, samples, seed, rng_seed, leak_birth, params
 ):
     (layout,) = _layers(n, 1, seed)
     x = _field(n, samples, seed)
-    kwargs = dict(include_gain=include_gain, leak_birth=leak_birth, nominal_power_mw=0.7)
-    res = propagate_with_crosstalk(layout, params, x, rng=_rng(rng_seed), **kwargs)
+    res = propagate_with_crosstalk(
+        layout, params, x, rng=_rng(rng_seed), leak_birth=leak_birth
+    )
     ref = oracle.propagate_with_crosstalk(
-        layout, params, x, rng=_rng(rng_seed), **kwargs
+        layout, params, x, rng=_rng(rng_seed), leak_birth=leak_birth
     )
     _assert_agrees(res, ref)
 
 
 @pytest.mark.parametrize("mode", ["ideal", "lossy"])
-@pytest.mark.parametrize("include_gain", [False, True])
-def test_signal_passes_match_oracle_exactly(mode, include_gain):
+def test_signal_passes_match_oracle_exactly(mode):
     layers = _layers(6, 2, 11)
     x = _field(6, 4, 11)
     np.testing.assert_array_equal(
-        propagate_signal(layers[0], PARAMS[1], x, mode, include_gain),
-        oracle.propagate_signal(layers[0], PARAMS[1], x, mode, include_gain),
+        propagate_signal(layers[0], PARAMS[1], x, mode),
+        oracle.propagate_signal(layers[0], PARAMS[1], x, mode),
     )
     np.testing.assert_array_equal(
-        transfer_matrix(layers, PARAMS[1], mode, include_gain),
-        oracle.transfer_matrix(layers, PARAMS[1], mode, include_gain),
+        transfer_matrix(layers, PARAMS[1], mode),
+        oracle.transfer_matrix(layers, PARAMS[1], mode),
     )
 
 
