@@ -378,10 +378,6 @@ class ComplexMlp:
     def n(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def m(self) -> int:
-        return len(self.weights)
-
     def activation(self, z: np.ndarray) -> np.ndarray:
         mag = np.abs(z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -536,11 +532,21 @@ def accuracy_eval(
     """
     if crosstalk and rng is None:
         raise ValueError("crosstalk evaluation needs an rng")
+    return _evaluate(_compiled(model), model, dataset, p, rng if crosstalk else None)
+
+
+def _compiled(model: ComplexMlp) -> list[tuple[LayerLayout, float]]:
+    """Each layer's layout and s_max. Compiling draws no random numbers, so
+    a sweep compiles once and evaluates every point on the result."""
+    return [(compile_layer(w), _layer_smax(w)) for w in model.weights]
+
+
+def _evaluate(compiled, model, dataset, p, rng=None) -> AccuracyResult:
+    """:func:`accuracy_eval` on layers from :func:`_compiled`, with
+    crosstalk when ``rng`` is given."""
     a = dataset.features.T.copy()  # (n, samples)
-    for k, w in enumerate(model.weights):
-        layout = compile_layer(w)
-        s_max = _layer_smax(w)
-        if crosstalk:
+    for k, (layout, s_max) in enumerate(compiled):
+        if rng is not None:
             res = propagate_with_crosstalk(
                 layout, p, a, rng=rng, leak_birth="nominal"
             )
@@ -548,7 +554,7 @@ def accuracy_eval(
         else:
             out = propagate_signal(layout, p, a, mode="lossy")
         out = out * s_max
-        a = model.activation(out) if k < len(model.weights) - 1 else out
+        a = model.activation(out) if k < len(compiled) - 1 else out
     pred = np.argmax(np.abs(a) ** 2, axis=0)
     acc = 100.0 * float(np.mean(pred == dataset.labels))
     return AccuracyResult(acc, dataset.n_samples)
@@ -577,8 +583,9 @@ def loss_sweep(
         raise ValueError(
             f"unknown loss axis {which!r}; options {sorted(EXPECTED_ALPHA_RANGES)}"
         )
+    compiled = _compiled(model)
     return [
-        accuracy_eval(model, dataset, _one_axis_params(which, value))
+        _evaluate(compiled, model, dataset, _one_axis_params(which, value))
         for value in grid
     ]
 
@@ -597,21 +604,15 @@ def joint_loss_sample(
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
+    compiled = _compiled(model)
     rows = []
     for _ in range(n_instances):
         draws = {}
         for key, (lo, hi) in EXPECTED_ALPHA_RANGES.items():
             draws[key] = float(rng.half_normal(lo, hi / 3.0))
         p = params_with_alphas(**draws)
-        acc = accuracy_eval(model, dataset, p, crosstalk=False).accuracy_pct
-        rows.append(
-            (
-                draws["alpha_l_db"],
-                draws["alpha_m_db"],
-                draws["alpha_prop_db"],
-                acc,
-            )
-        )
+        acc = _evaluate(compiled, model, dataset, p).accuracy_pct
+        rows.append((*draws.values(), acc))  # EXPECTED_ALPHA_RANGES order
     return rows
 
 
@@ -626,29 +627,26 @@ def tolerance_search(
     steps over [0, 4x the expected maximum]."""
     if max_drop_pct <= 0:
         raise ValueError("max_drop_pct must be > 0")
-    nominal = accuracy_eval(
-        model, dataset, params_with_alphas(0.0, 0.0, 0.0), crosstalk=False
-    ).accuracy_pct
-    floor = nominal - max_drop_pct
+    compiled = _compiled(model)
+
+    def accuracy(p: MziParams) -> float:
+        return _evaluate(compiled, model, dataset, p).accuracy_pct
+
+    floor = accuracy(params_with_alphas(0.0, 0.0, 0.0)) - max_drop_pct
     out = {}
     for key, (_, hi) in EXPECTED_ALPHA_RANGES.items():
         ok, bad = 0.0, 4.0 * hi
-        if _axis_accuracy(model, dataset, key, bad) >= floor:
+        if accuracy(_one_axis_params(key, bad)) >= floor:
             out[key] = bad
             continue
         for _ in range(18):
             mid = 0.5 * (ok + bad)
-            if _axis_accuracy(model, dataset, key, mid) >= floor:
+            if accuracy(_one_axis_params(key, mid)) >= floor:
                 ok = mid
             else:
                 bad = mid
         out[key] = ok
     return out
-
-
-def _axis_accuracy(model, dataset, key, value) -> float:
-    p = _one_axis_params(key, value)
-    return accuracy_eval(model, dataset, p, crosstalk=False).accuracy_pct
 
 
 def crosstalk_grid(
@@ -665,14 +663,13 @@ def crosstalk_grid(
     base = params_with_alphas(
         **{k: lo for k, (lo, _) in EXPECTED_ALPHA_RANGES.items()}
     )
+    compiled = _compiled(model)
     grid = np.full((len(xb_grid), len(xc_grid)), np.nan)
     for i, xb in enumerate(xb_grid):
         for j, xc in enumerate(xc_grid):
             if xb > xc:
                 continue
             p = replace(base, xb_db=float(xb), xc_db=float(xc))
-            cell_rng = rng.spawn(i, j)
-            grid[i, j] = accuracy_eval(
-                model, dataset, p, crosstalk=True, rng=cell_rng
-            ).accuracy_pct
+            cell = _evaluate(compiled, model, dataset, p, rng.spawn(i, j))
+            grid[i, j] = cell.accuracy_pct
     return grid

@@ -22,6 +22,7 @@ import numpy as np
 from spnn.analysis import (
     EXPECTED_ALPHA_RANGES,
     ComplexMlp,
+    TrainResult,
     _layer_trial,
     accuracy_eval,
     crosstalk_grid,
@@ -131,10 +132,8 @@ def _load_model(path: str) -> ComplexMlp:
     return ComplexMlp(weights, bias=float(doc["bias"]))
 
 
-def _trained_model(cfg: ExperimentConfig, train_set: FeatureDataset) -> ComplexMlp:
-    if cfg.model_file:
-        return _load_model(cfg.model_file)
-    result = train_reference(
+def _train(cfg: ExperimentConfig, train_set: FeatureDataset) -> TrainResult:
+    return train_reference(
         (cfg.n, cfg.m),
         train_set,
         epochs=cfg.epochs,
@@ -143,7 +142,12 @@ def _trained_model(cfg: ExperimentConfig, train_set: FeatureDataset) -> ComplexM
         bias=cfg.bias,
         temp=cfg.temp,
     )
-    return result.model
+
+
+def _trained_model(cfg: ExperimentConfig, train_set: FeatureDataset) -> ComplexMlp:
+    if cfg.model_file:
+        return _load_model(cfg.model_file)
+    return _train(cfg, train_set).model
 
 
 def _load_weight_matrix(cfg: ExperimentConfig) -> np.ndarray:
@@ -253,15 +257,7 @@ def _cmd_compile(cfg, out_dir):
 
 def _cmd_train(cfg, out_dir):
     train_set, eval_set = _split_dataset(cfg)
-    result = train_reference(
-        (cfg.n, cfg.m),
-        train_set,
-        epochs=cfg.epochs,
-        rng=Rng(cfg.seed).spawn(2),
-        lr=cfg.lr,
-        bias=cfg.bias,
-        temp=cfg.temp,
-    )
+    result = _train(cfg, train_set)
     _save_model(result.model, os.path.join(out_dir, "model.json"))
     eval_acc = 100.0 * float(
         np.mean(result.model.predict(eval_set.features) == eval_set.labels)

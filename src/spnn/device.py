@@ -141,28 +141,44 @@ def output_insertion_loss(p: MziParams, ph: PhasePair) -> tuple[float, float]:
     return float(il[0]), float(il[1])
 
 
-def crosstalk_mean_db(p: MziParams, theta: float) -> float:
+def crosstalk_mean_db(p: MziParams, theta):
     """Deterministic crosstalk coefficient: linear in theta from the
-    Cross-state value at theta=0 to the Bar-state value at theta=pi."""
-    if not 0.0 <= theta <= math.pi + 1e-12:
+    Cross-state value at theta=0 to the Bar-state value at theta=pi.
+    ``theta`` may be an ndarray."""
+    if isinstance(theta, np.ndarray):
+        ok = np.all((theta >= 0.0) & (theta <= math.pi + 1e-12))
+    else:
+        ok = 0.0 <= theta <= math.pi + 1e-12
+    if not ok:
         raise ValueError(f"theta must be in [0, pi], got {theta}")
     return (p.xb_db - p.xc_db) / math.pi * theta + p.xc_db
 
 
-def crosstalk_coefficient(
-    p: MziParams, theta: float, rng: Rng | None = None
-) -> float:
+def crosstalk_coefficient(p: MziParams, theta, rng: Rng | None = None):
     """Crosstalk coefficient in dB at an intermediate MZI state.
 
     Gaussian in the dB domain with mean ``crosstalk_mean_db`` and standard
     deviation ``xtalk_sigma_frac * |mean|``. Samples above 0 dB (a coupling
     coefficient above unity) are rejected and redrawn. Without an rng the
     mean is returned exactly.
+
+    An ndarray of theta gives the scalar calls' results and leaves the
+    stream where they would, in one array draw; if a draw would be rejected
+    or a sigma is 0 (a scalar draw then consumes nothing), the stream is
+    rewound and drawn scalar by scalar.
     """
     mu = crosstalk_mean_db(p, theta)
     if rng is None or p.xtalk_sigma_frac == 0.0:
         return mu
     sigma = p.xtalk_sigma_frac * abs(mu)
+    if isinstance(theta, np.ndarray):
+        if sigma.all():
+            state = rng.state
+            x = rng.gaussian(mu, sigma)
+            if (x <= 0.0).all():
+                return x
+            rng.state = state
+        return np.array([crosstalk_coefficient(p, t, rng) for t in theta.tolist()])
     for _ in range(1000):
         x = float(rng.gaussian(mu, sigma))
         if x <= 0.0:

@@ -81,10 +81,21 @@ class Rng:
 
     # -- distributions ----------------------------------------------------
 
-    def gaussian(self, mu: float, sigma: float, size=None):
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        if sigma == 0:
+    @property
+    def state(self) -> dict:
+        """The generator state; assigning a saved state rewinds the stream."""
+        return self._gen.bit_generator.state
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self._gen.bit_generator.state = value
+
+    def gaussian(self, mu, sigma, size=None):
+        """Normal draws; mu and sigma may be arrays. A scalar sigma of 0
+        returns mu and consumes nothing."""
+        if not isinstance(sigma, np.ndarray) and sigma <= 0:
+            if sigma < 0:
+                raise ValueError(f"sigma must be >= 0, got {sigma}")
             return np.full(size, float(mu)) if size is not None else float(mu)
         return self._gen.normal(mu, sigma, size=size)
 

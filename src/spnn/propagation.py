@@ -5,21 +5,21 @@ Sigma attenuators, U mesh, phase screen, then scalar gain/NAU factors).
 At every two-port mesh MZI a crosstalk coefficient X is drawn; the routed
 signal keeps the sqrt(1-X) field factor while a sqrt(X)-scaled row-swapped
 copy is born as a leak field. Leaks do not re-leak (first order), so after
-its birth a leak rides the plain lossy transfer of the rest of the network,
-which no X draw touches.
+its birth a leak rides the plain lossy transfer of the rest of the network.
 
-Propagation with crosstalk is one forward pass and one backward pass. The
-forward pass moves only the signal, draws X MZI by MZI in light order and
-writes each newborn two-row leak into the leak bank. The backward pass
-walks the stages in reverse, keeping the running suffix transfer S from
-the current point to the output (S = I at the output). At each mesh MZI it
-maps that MZI's leak to the output, S[:, r:r+2] @ leak, and then folds the
-MZI's 2x2 cell into two columns of S; screens, attenuators and gains scale
-the columns of S. Under the first-order model this is exact, and each leak
-costs O(N) instead of a push through every later MZI. At the input S is
-the whole lossy crosstalk-free transfer; it is returned with the result,
-so insertion loss needs no second lossy walk. Leak fields are
-phase-resolved only at measurement points via Monte-Carlo interference.
+The MZIs of a mesh column share no waveguide, so every pass takes a whole
+column per step, one stacked (c, 2, 2) @ (c, 2, B) product on the gathered
+row pairs (as in Pai et al., Phys. Rev. Applied 11, 064044, 2019). With
+crosstalk, a forward pass moves the signal, draws the X of each mesh in one
+vector call that leaves the random stream as the MZI-by-MZI scalar draws do,
+and writes each newborn two-row leak into its slot of the leak bank. One
+backward pass keeps the running suffix transfer S from the current point to
+the output (S = I there): per column it maps each leak to the output,
+S[:, (r, r+1)] @ leak, then folds the column's cells into those 2c columns
+of S; screens, attenuators and gains scale the columns of S. This is exact
+under the first-order model, and at the input S is the whole lossy
+crosstalk-free transfer, returned so that insertion loss needs no second
+walk. Leak phases are resolved only at measurement points.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class NetworkSpec:
     def n(self) -> int:
         return self.layers[0].n
 
-    @property
-    def m(self) -> int:
-        return len(self.layers)
-
     def launch_field(self) -> np.ndarray:
         """Equal-phase field with input_power_dbm per port."""
         amp = math.sqrt(dbm_to_mw(self.input_power_dbm))
@@ -102,16 +98,27 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class _CellMesh:
-    """A mesh with the 2x2 cell of each MZI, (K, 2, 2) in light order."""
+    """A mesh's theta and 2x2 cells (K, 2, 2) in light order and, per column,
+    its slice of that order plus the waveguide pairs (c, 2) and indices
+    (c, 1) of its MZIs, which share no waveguide."""
 
-    mesh: Mesh
+    theta: np.ndarray
     cells: np.ndarray
+    columns: list[tuple[slice, np.ndarray, np.ndarray]]
 
 
 def _cell_mesh(mesh: Mesh, p: MziParams, mode: str) -> _CellMesh:
     if mode == "ideal":
-        return _CellMesh(mesh, lossless_cells(mesh.theta, mesh.phi))
-    return _CellMesh(mesh, mzi_cells(p, mesh.theta, mesh.phi))
+        cells = lossless_cells(mesh.theta, mesh.phi)
+    else:
+        cells = mzi_cells(p, mesh.theta, mesh.phi)
+    edges = [0, *(np.flatnonzero(np.diff(mesh.column)) + 1).tolist(), len(mesh)]
+    pairs = np.stack([mesh.row, mesh.row + 1], axis=1)
+    columns = [
+        (slice(lo, hi), pairs[lo:hi], np.arange(lo, hi)[:, None])
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    return _CellMesh(mesh.theta, cells, columns)
 
 
 def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
@@ -119,12 +126,8 @@ def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
     sigma = layout.sigma_stage
     if mode == "ideal":
         return np.array([math.sin(t / 2.0) for t in sigma.theta.tolist()], complex)
-    return np.array(
-        [
-            mzi_transfer(p, PhasePair(t, f))[0, 0]
-            for t, f in zip(sigma.theta.tolist(), sigma.phi.tolist())
-        ]
-    )
+    phases = zip(sigma.theta.tolist(), sigma.phi.tolist())
+    return np.array([mzi_transfer(p, PhasePair(t, f))[0, 0] for t, f in phases])
 
 
 def _stages(layout: LayerLayout, p: MziParams, mode: str) -> list:
@@ -146,61 +149,20 @@ def _gain(layout: LayerLayout) -> float:
     return db_to_field(layout.nau_loss_db - layout.gain_db)
 
 
-def _apply_rows(arr: np.ndarray, r: int, t2: np.ndarray) -> None:
-    sub = arr[r : r + 2].reshape(2, -1)
-    arr[r : r + 2] = (t2 @ sub).reshape(arr[r : r + 2].shape)
-
-
-def _scale_ports(arr: np.ndarray, per_port: np.ndarray) -> None:
-    arr *= per_port.reshape((len(per_port),) + (1,) * (arr.ndim - 1))
-
-
 def _signal_pass(
-    layers: list[LayerLayout],
-    p: MziParams,
-    signal: np.ndarray,
-    mode: str,
+    layers: list[LayerLayout], p: MziParams, signal: np.ndarray, mode: str
 ) -> np.ndarray:
     """Crosstalk-free propagation without gain; mutates ``signal`` (N, ...)
     in place."""
+    rows = signal.reshape(signal.shape[0], -1)
     for layout in layers:
         for stage in _stages(layout, p, mode):
-            if isinstance(stage, _CellMesh):
-                for r, t2 in zip(stage.mesh.row.tolist(), stage.cells):
-                    _apply_rows(signal, r, t2)
-            else:
-                _scale_ports(signal, stage)
+            if not isinstance(stage, _CellMesh):
+                rows *= stage[:, None]
+                continue
+            for col, pairs, _ in stage.columns:
+                rows[pairs] = stage.cells[col] @ rows[pairs]
     return signal
-
-
-def _nominal_mw(leak_birth: str, launch_mw: float) -> float | None:
-    """The power a newborn leak is booked at per unit X: the launch power
-    for the power-budget ledger, None for the physical leak."""
-    if leak_birth not in ("physical", "nominal"):
-        raise ValueError(f"unknown leak_birth {leak_birth!r}")
-    return launch_mw if leak_birth == "nominal" else None
-
-
-def _split(signal: np.ndarray, r: int, t2: np.ndarray, x_db: float, nominal_mw):
-    """Routes rows r, r+1 of ``signal`` through ``t2`` in place, keeping
-    sqrt(1-X) of the field; returns the newborn leak (2, B), rescaled to a
-    power per sample of X * ``nominal_mw`` unless that is None."""
-    x_lin = 10.0 ** (x_db / 10.0)
-    sub = signal[r : r + 2].reshape(2, -1)
-    routed = t2 @ sub
-    leak2 = math.sqrt(x_lin) * (t2[::-1, :] @ sub)
-    signal[r : r + 2] = (math.sqrt(1.0 - x_lin) * routed).reshape(
-        signal[r : r + 2].shape
-    )
-    if nominal_mw is not None:
-        # Power-budget ledger: every leak is booked at X times the nominal
-        # launch power, regardless of how much the local signal has already
-        # been attenuated. The physical leak direction is kept.
-        born = np.sum(np.abs(leak2) ** 2, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(born > 0.0, np.sqrt(x_lin * nominal_mw / born), 0.0)
-        leak2 = leak2 * scale
-    return leak2
 
 
 def _crosstalk_pass(
@@ -208,50 +170,69 @@ def _crosstalk_pass(
     p: MziParams,
     signal: np.ndarray,
     rng: Rng | None,
-    nominal_mw: float | None,
+    leak_birth: str,
+    launch_mw: float,
     include_gain: bool,
 ) -> PropagationResult:
     """Lossy propagation with first-order leaks: a forward pass that moves
-    the signal, draws X per mesh MZI in light order and records every leak
-    at birth, then one backward pass that maps every leak to the output
-    through the running suffix transfer, which ends as the whole network's
-    crosstalk-free transfer."""
+    the signal, draws X once per mesh and records every leak at birth, then
+    one backward pass that maps every leak to the output through the running
+    suffix transfer, which ends as the whole network's crosstalk-free
+    transfer. Both passes take one mesh column per step. ``leak_birth=
+    "nominal"`` books each leak at X times ``launch_mw``."""
+    if leak_birth not in ("physical", "nominal"):
+        raise ValueError(f"unknown leak_birth {leak_birth!r}")
     stages = [_stages(layout, p, "lossy") for layout in layers]
+    n = signal.shape[0]
     k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
-    leaks = np.zeros((signal.shape[0], k_total) + signal.shape[1:], dtype=complex)
+    leaks = np.zeros((n, k_total) + signal.shape[1:], dtype=complex)
+    rows = signal.reshape(n, -1)
+    bank = leaks.reshape(n, k_total, rows.shape[1])
 
     slot = 0
     for layout, layer in zip(layers, stages):
         for stage in layer:
             if not isinstance(stage, _CellMesh):
-                _scale_ports(signal, stage)
+                rows *= stage[:, None]
                 continue
-            for r, theta, t2 in zip(
-                stage.mesh.row.tolist(), stage.mesh.theta.tolist(), stage.cells
-            ):
-                x_db = crosstalk_coefficient(p, theta, rng)
-                leak2 = _split(signal, r, t2, x_db, nominal_mw)
-                leaks[r : r + 2, slot] = leak2.reshape(leaks[r : r + 2, slot].shape)
-                slot += 1
+            x_lin = 10.0 ** (crosstalk_coefficient(p, stage.theta, rng) / 10.0)
+            mesh_bank = bank[:, slot : slot + len(stage.theta)]
+            for col, pairs, own in stage.columns:
+                routed = stage.cells[col] @ rows[pairs]
+                x = x_lin[col, None, None]
+                rows[pairs] = np.sqrt(1.0 - x) * routed
+                leak = np.sqrt(x) * routed[:, ::-1]
+                if leak_birth == "nominal":
+                    # Power-budget ledger: every leak is booked at X times
+                    # the nominal launch power, regardless of how much the
+                    # local signal has already been attenuated. The
+                    # physical leak direction is kept.
+                    born = np.sum(np.abs(leak) ** 2, axis=1, keepdims=True)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        scale = np.sqrt(x * launch_mw / born)
+                    leak *= np.where(born > 0.0, scale, 0.0)
+                mesh_bank[pairs, own] = leak
+            slot += len(stage.theta)
         if include_gain:
-            signal *= _gain(layout)
+            rows *= _gain(layout)
 
-    # suffix = transfer from the current point to the output, leaks excluded.
-    suffix = np.eye(signal.shape[0], dtype=complex)
+    # suffix_t is the transpose of the transfer S from the current point to
+    # the output, leaks excluded: row i of suffix_t is column i of S.
+    suffix_t = np.eye(n, dtype=complex)
     for layout, layer in zip(reversed(layers), reversed(stages)):
         if include_gain:
-            suffix *= _gain(layout)
+            suffix_t *= _gain(layout)
         for stage in reversed(layer):
             if not isinstance(stage, _CellMesh):
-                suffix *= stage
+                suffix_t *= stage[:, None]
                 continue
-            for r, t2 in zip(stage.mesh.row[::-1].tolist(), stage.cells[::-1]):
-                slot -= 1
-                pair = suffix[:, r : r + 2]
-                at_birth = leaks[r : r + 2, slot].reshape(2, -1)
-                leaks[:, slot] = (pair @ at_birth).reshape(leaks[:, slot].shape)
-                suffix[:, r : r + 2] = pair @ t2
-    return PropagationResult(signal, leaks, suffix)
+            slot -= len(stage.theta)
+            mesh_bank = bank[:, slot : slot + len(stage.theta)]
+            for col, pairs, own in reversed(stage.columns):
+                pair, mapped = suffix_t[pairs], mesh_bank[:, col].transpose(1, 0, 2)
+                np.matmul(pair.transpose(0, 2, 1), mesh_bank[pairs, own], out=mapped)
+                suffix_t[pairs] = stage.cells[col].transpose(0, 2, 1) @ pair
+    return PropagationResult(signal, leaks, suffix_t.T)
 
 
 def _as_field_array(x, n: int) -> np.ndarray:
@@ -271,8 +252,7 @@ def propagate_signal(
     zero-dB losses so the result is exactly ``(w / s_max) @ x``; ``lossy``
     applies the full device model per placement.
     """
-    signal = _as_field_array(x, layout.n)
-    return _signal_pass([layout], p, signal, mode)
+    return _signal_pass([layout], p, _as_field_array(x, layout.n), mode)
 
 
 def propagate_with_crosstalk(
@@ -285,9 +265,10 @@ def propagate_with_crosstalk(
     """Lossy propagation with per-MZI crosstalk injection through one layer's
     meshes, without its gain. ``leak_birth="nominal"`` books each leak at X
     times 1 mW."""
-    nominal_mw = _nominal_mw(leak_birth, 1.0)
     signal = _as_field_array(x, layout.n)
-    return _crosstalk_pass([layout], p, signal, rng, nominal_mw, include_gain=False)
+    return _crosstalk_pass(
+        [layout], p, signal, rng, leak_birth, 1.0, include_gain=False
+    )
 
 
 def network_cascade(
@@ -308,9 +289,9 @@ def network_cascade(
     if x is None:
         x = spec.launch_field()
     signal = _as_field_array(x, spec.n)
-    nominal_mw = _nominal_mw(leak_birth, dbm_to_mw(spec.input_power_dbm))
+    launch_mw = dbm_to_mw(spec.input_power_dbm)
     return _crosstalk_pass(
-        spec.layers, spec.params, signal, rng, nominal_mw, include_gain=True
+        spec.layers, spec.params, signal, rng, leak_birth, launch_mw, include_gain=True
     )
 
 
@@ -324,8 +305,7 @@ def transfer_matrix(
     mode: str = "lossy",
 ) -> np.ndarray:
     """End-to-end transfer matrix of the cascade (crosstalk and gain off)."""
-    t = np.eye(layers[0].n, dtype=complex)
-    return _signal_pass(layers, p, t, mode)
+    return _signal_pass(layers, p, np.eye(layers[0].n, dtype=complex), mode)
 
 
 # --------------------------------------------------------------------------

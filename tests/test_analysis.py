@@ -3,20 +3,25 @@ reference trainer on a separable toy task, power-penalty arithmetic, and
 dark-port handling."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spnn import analysis
 from spnn.analysis import (
     EXPECTED_ALPHA_RANGES,
     ComplexMlp,
     _il_ratios,
     _loss_and_grads,
     accuracy_eval,
+    crosstalk_grid,
+    joint_loss_sample,
     loss_sweep,
     network_statistics,
     params_with_alphas,
     power_penalty,
+    tolerance_search,
     train_reference,
 )
 from spnn.data import FeatureDataset
@@ -122,6 +127,32 @@ def test_loss_sweep_zero_point_is_nominal():
     ).accuracy_pct
     assert results[0].accuracy_pct == nominal
     assert results[1].accuracy_pct <= results[0].accuracy_pct
+
+
+def test_sweeps_compile_each_layer_once_and_match_accuracy_eval(monkeypatch):
+    dataset = _toy_two_class()
+    rng = Rng(6)
+    w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    model = ComplexMlp([w, w.T])
+    grid = [0.0, 0.2, 0.4]
+    per_point = [
+        accuracy_eval(model, dataset, params_with_alphas(v, 0.0, 0.0)).accuracy_pct
+        for v in grid
+    ]
+    # crosstalk_grid's cell (0, 0): losses at their expected minima.
+    p = replace(params_with_alphas(0.1, 0.1, 0.03), xb_db=-25.0, xc_db=-18.0)
+    cell = accuracy_eval(model, dataset, p, True, Rng(1).spawn(0, 0)).accuracy_pct
+    compiled = []
+    real = analysis.compile_layer
+    monkeypatch.setattr(
+        analysis, "compile_layer", lambda w: compiled.append(w) or real(w)
+    )
+    swept = loss_sweep(model, dataset, "alpha_l_db", grid)
+    assert [r.accuracy_pct for r in swept] == per_point
+    assert crosstalk_grid(model, dataset, [-25.0], [-18.0], Rng(1))[0, 0] == cell
+    joint_loss_sample(model, dataset, 3, Rng(2))
+    tolerance_search(model, dataset, 5.0)
+    assert len(compiled) == 4 * len(model.weights)
 
 
 def test_params_with_alphas_round_trip():

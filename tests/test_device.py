@@ -18,6 +18,7 @@ from spnn.device import (
     mzi_with_crosstalk,
     output_insertion_loss,
 )
+from spnn.mesh import compile_layer
 from spnn.numerics import Rng, unitarity_residual
 
 LOSSLESS = MziParams().lossless()
@@ -123,6 +124,36 @@ def test_crosstalk_coefficient_statistics():
 def test_crosstalk_coefficient_deterministic_without_rng():
     p = MziParams()
     assert crosstalk_coefficient(p, 0.3) == crosstalk_mean_db(p, 0.3)
+
+
+# Draws above 0 dB are common here, so the scalar calls redraw.
+REJECTING = MziParams(xb_db=-1.0, xc_db=-0.05, xtalk_sigma_frac=0.9)
+
+
+@pytest.mark.parametrize(
+    "p, seed",
+    [
+        (MziParams(), 3),
+        (REJECTING, 3),
+        (MziParams(xb_db=0.0, xc_db=0.0), 3),  # sigma 0: a draw consumes nothing
+        (MziParams(), None),
+    ],
+)
+def test_mesh_of_draws_equals_scalar_calls_and_keeps_the_stream(p, seed):
+    theta = compile_layer(Rng(5).standard_normal((8, 8))).v_mesh.theta
+    scalar_rng = None if seed is None else Rng(seed)
+    vector_rng = None if seed is None else Rng(seed)
+    expected = [crosstalk_coefficient(p, t, scalar_rng) for t in theta.tolist()]
+    np.testing.assert_array_equal(crosstalk_coefficient(p, theta, vector_rng), expected)
+    if seed is not None:
+        assert vector_rng.state == scalar_rng.state
+
+
+def test_rejecting_params_force_rejections():
+    theta = compile_layer(Rng(5).standard_normal((8, 8))).v_mesh.theta
+    mu = crosstalk_mean_db(REJECTING, theta)
+    draws = Rng(3).gaussian(mu, REJECTING.xtalk_sigma_frac * np.abs(mu))
+    assert (draws > 0.0).any()
 
 
 def test_insertion_loss_envelope_over_theta():

@@ -121,6 +121,33 @@ def test_signal_passes_match_oracle_exactly(mode):
     )
 
 
+# --------------------------------------------------------------------------
+# Batch-size independence
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("leak_birth", ["physical", "nominal"])
+def test_batched_samples_equal_single_sample_runs(leak_birth):
+    layers = _layers(8, 2, 31)
+    spec = NetworkSpec(layers, PARAMS[1], input_power_dbm=1.5)
+    x = _field(8, 4, 31)
+    runs = (
+        lambda xs, rng: propagate_with_crosstalk(
+            layers[0], PARAMS[1], xs, rng=rng, leak_birth=leak_birth
+        ),
+        lambda xs, rng: network_cascade(spec, xs, rng=rng, leak_birth=leak_birth),
+    )
+    for run in runs:
+        batch = run(x, Rng(9))
+        for s in range(x.shape[1]):
+            single = run(x[:, s], Rng(9))
+            for got, ref in (
+                (batch.signal[:, s], single.signal),
+                (batch.leak_fields[..., s], single.leak_fields),
+                (batch.transfer, single.transfer),
+            ):
+                assert np.all(np.abs(got - ref) <= REL * np.max(np.abs(ref)))
+
+
 def test_unknown_mode_and_leak_birth_rejected():
     (layout,) = _layers(2, 1, 0)
     with pytest.raises(ValueError, match="mode"):
