@@ -187,7 +187,7 @@ def _layer_trial(
     layout = compile_layer(r.standard_normal((n, n)))
     x = random_phase_input(n, r) * math.sqrt(launch_mw)
     res = propagate_with_crosstalk(layout, p, x, rng=r)
-    return _il_ratios(res, [layout], p, x), np.abs(res.leak_fields)
+    return _il_ratios(res, [layout], p, x), res.leak_fields
 
 
 def layer_statistics(
@@ -254,9 +254,10 @@ def network_statistics(
         ratio = _il_ratios(res, layers, p, x)
         ratios.append(ratio)
         per_matrix_max.append(power_to_db(ratio).max())
-        amps = np.abs(res.leak_fields)
+        amps = res.leak_fields
         xp_total.append(float(np.sum(amps**2)))
         xp_aligned.append(float(np.sum(np.sum(amps, axis=1) ** 2)))
+        del res, amps  # free this bank before the next trial's pass
     ratios = np.concatenate(ratios)
     return PortStatistics(
         n=n,
@@ -301,7 +302,7 @@ def power_penalty(
     if x is None:
         x = spec.launch_field()
     il_db = power_to_db(_il_ratios(result, spec.layers, spec.params, x))
-    amps = np.abs(result.leak_fields)
+    amps = result.leak_fields
     aligned_mw = np.sum(amps, axis=1) ** 2
     if mode == "worst":
         xp_mw = aligned_mw
@@ -345,6 +346,7 @@ def penalty_statistics(
         x = random_phase_input(n, r)
         res = network_cascade(spec, x, rng=r, leak_birth="nominal")
         penalties.append(power_penalty(spec, res, mode="worst", x=x).worst_dbm)
+        del res  # free this bank before the next trial's pass
     return float(np.mean(penalties)), float(np.max(penalties)), penalties
 
 
@@ -547,10 +549,9 @@ def _evaluate(compiled, model, dataset, p, rng=None) -> AccuracyResult:
     a = dataset.features.T.copy()  # (n, samples)
     for k, (layout, s_max) in enumerate(compiled):
         if rng is not None:
-            res = propagate_with_crosstalk(
-                layout, p, a, rng=rng, leak_birth="nominal"
-            )
+            res = propagate_with_crosstalk(layout, p, a, rng=rng, leak_birth="nominal")
             out = resolve_crosstalk_fields(res, rng)
+            del res  # free this bank before the next layer's pass
         else:
             out = propagate_signal(layout, p, a, mode="lossy")
         out = out * s_max

@@ -12,14 +12,15 @@ column per step, one stacked (c, 2, 2) @ (c, 2, B) product on the gathered
 row pairs (as in Pai et al., Phys. Rev. Applied 11, 064044, 2019). With
 crosstalk, a forward pass moves the signal, draws the X of each mesh in one
 vector call that leaves the random stream as the MZI-by-MZI scalar draws do,
-and writes each newborn two-row leak into its slot of the leak bank. One
-backward pass keeps the running suffix transfer S from the current point to
-the output (S = I there): per column it maps each leak to the output,
-S[:, (r, r+1)] @ leak, then folds the column's cells into those 2c columns
-of S; screens, attenuators and gains scale the columns of S. This is exact
-under the first-order model, and at the input S is the whole lossy
-crosstalk-free transfer, returned so that insertion loss needs no second
-walk. Leak phases are resolved only at measurement points.
+and keeps each newborn two-row leak in a (K, 2[, S]) array. One backward
+pass keeps the running suffix transfer S from the current point to the
+output (S = I there): per column it maps each leak to the output,
+S[:, (r, r+1)] @ leak, and stores only its magnitude, in a float64 leak
+bank, then folds the column's cells into those 2c columns of S; screens,
+attenuators and gains scale the columns of S. This is exact under the
+first-order model, and at the input S is the whole lossy crosstalk-free
+transfer, returned so that insertion loss needs no second walk. Leak
+phases are drawn only where leaks are resolved.
 """
 
 from __future__ import annotations
@@ -29,13 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.device import (
-    MziParams,
-    PhasePair,
-    crosstalk_coefficient,
-    mzi_cells,
-    mzi_transfer,
-)
+from spnn.device import MziParams, crosstalk_coefficient, mzi_cells
+# Not called here: perfbench/test_perfbench.py's
+# test_shim_wraps_importers_and_restores_every_function checks it is wrapped here.
+from spnn.device import mzi_transfer  # noqa: F401
 from spnn.mesh import LayerLayout, Mesh, lossless_cells
 from spnn.numerics import Rng, db_to_field, dbm_to_mw
 
@@ -56,7 +54,8 @@ class PropagationResult:
     """Signal plus tracked leak fields at a measurement point.
 
     ``leak_fields`` has shape (N, K) (or (N, K, S) for batched inputs):
-    one column per source MZI, spread over all N output ports.
+    one column per source MZI, spread over all N output ports, as float64
+    magnitudes |a|. ``spnn.analysis`` frees each result before its next pass.
     ``transfer`` (N, N) is the lossy crosstalk-free transfer from the input
     to the measurement point, gain included where the pass applied it.
     """
@@ -99,12 +98,12 @@ class NetworkSpec:
 @dataclass(frozen=True)
 class _CellMesh:
     """A mesh's theta and 2x2 cells (K, 2, 2) in light order and, per column,
-    its slice of that order plus the waveguide pairs (c, 2) and indices
-    (c, 1) of its MZIs, which share no waveguide."""
+    its slice of that order plus the waveguide pairs (c, 2) of its MZIs,
+    which share no waveguide."""
 
     theta: np.ndarray
     cells: np.ndarray
-    columns: list[tuple[slice, np.ndarray, np.ndarray]]
+    columns: list[tuple[slice, np.ndarray]]
 
 
 def _cell_mesh(mesh: Mesh, p: MziParams, mode: str) -> _CellMesh:
@@ -114,10 +113,7 @@ def _cell_mesh(mesh: Mesh, p: MziParams, mode: str) -> _CellMesh:
         cells = mzi_cells(p, mesh.theta, mesh.phi)
     edges = [0, *(np.flatnonzero(np.diff(mesh.column)) + 1).tolist(), len(mesh)]
     pairs = np.stack([mesh.row, mesh.row + 1], axis=1)
-    columns = [
-        (slice(lo, hi), pairs[lo:hi], np.arange(lo, hi)[:, None])
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
+    columns = [(slice(lo, hi), pairs[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
     return _CellMesh(mesh.theta, cells, columns)
 
 
@@ -126,8 +122,7 @@ def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
     sigma = layout.sigma_stage
     if mode == "ideal":
         return np.array([math.sin(t / 2.0) for t in sigma.theta.tolist()], complex)
-    phases = zip(sigma.theta.tolist(), sigma.phi.tolist())
-    return np.array([mzi_transfer(p, PhasePair(t, f))[0, 0] for t, f in phases])
+    return mzi_cells(p, sigma.theta, sigma.phi)[:, 0, 0]
 
 
 def _stages(layout: LayerLayout, p: MziParams, mode: str) -> list:
@@ -160,7 +155,7 @@ def _signal_pass(
             if not isinstance(stage, _CellMesh):
                 rows *= stage[:, None]
                 continue
-            for col, pairs, _ in stage.columns:
+            for col, pairs in stage.columns:
                 rows[pairs] = stage.cells[col] @ rows[pairs]
     return signal
 
@@ -174,20 +169,35 @@ def _crosstalk_pass(
     launch_mw: float,
     include_gain: bool,
 ) -> PropagationResult:
-    """Lossy propagation with first-order leaks: a forward pass that moves
-    the signal, draws X once per mesh and records every leak at birth, then
-    one backward pass that maps every leak to the output through the running
-    suffix transfer, which ends as the whole network's crosstalk-free
-    transfer. Both passes take one mesh column per step. ``leak_birth=
-    "nominal"`` books each leak at X times ``launch_mw``."""
+    """Lossy propagation with first-order leaks (see :func:`_mapped_leaks`),
+    keeping the magnitude of each mapped leak in a float64 (N, K, B) bank.
+    ``leak_birth="nominal"`` books each leak at X times ``launch_mw``."""
     if leak_birth not in ("physical", "nominal"):
         raise ValueError(f"unknown leak_birth {leak_birth!r}")
-    stages = [_stages(layout, p, "lossy") for layout in layers]
     n = signal.shape[0]
-    k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
-    leaks = np.zeros((n, k_total) + signal.shape[1:], dtype=complex)
     rows = signal.reshape(n, -1)
-    bank = leaks.reshape(n, k_total, rows.shape[1])
+    k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
+    bank = np.empty((n, k_total, rows.shape[1]))
+    suffix_t = np.eye(n, dtype=complex)
+    for slots, mapped in _mapped_leaks(
+        layers, p, rows, rng, leak_birth, launch_mw, include_gain, suffix_t
+    ):
+        np.abs(mapped, out=bank[:, slots].transpose(1, 0, 2))
+    leaks = bank.reshape((n, k_total) + signal.shape[1:])
+    return PropagationResult(signal, leaks, suffix_t.T)
+
+
+def _mapped_leaks(layers, p, rows, rng, leak_birth, launch_mw, include_gain, suffix_t):
+    """The crosstalk pass proper. A forward pass moves ``rows`` (N, B) in
+    place, draws X once per mesh and keeps each newborn two-row leak in a
+    (K, 2, B) array; one backward pass then turns ``suffix_t`` (I on entry)
+    into the transpose of the whole crosstalk-free transfer and yields, per
+    mesh column, its slice of the K leak slots and its leaks mapped to the
+    output, a (c, N, B) complex temporary. Both passes take one mesh column
+    per step."""
+    stages = [_stages(layout, p, "lossy") for layout in layers]
+    k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
+    born = np.empty((k_total, 2, rows.shape[1]), dtype=complex)
 
     slot = 0
     for layout, layer in zip(layers, stages):
@@ -196,8 +206,7 @@ def _crosstalk_pass(
                 rows *= stage[:, None]
                 continue
             x_lin = 10.0 ** (crosstalk_coefficient(p, stage.theta, rng) / 10.0)
-            mesh_bank = bank[:, slot : slot + len(stage.theta)]
-            for col, pairs, own in stage.columns:
+            for col, pairs in stage.columns:
                 routed = stage.cells[col] @ rows[pairs]
                 x = x_lin[col, None, None]
                 rows[pairs] = np.sqrt(1.0 - x) * routed
@@ -207,18 +216,17 @@ def _crosstalk_pass(
                     # the nominal launch power, regardless of how much the
                     # local signal has already been attenuated. The
                     # physical leak direction is kept.
-                    born = np.sum(np.abs(leak) ** 2, axis=1, keepdims=True)
+                    power = np.sum(np.abs(leak) ** 2, axis=1, keepdims=True)
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        scale = np.sqrt(x * launch_mw / born)
-                    leak *= np.where(born > 0.0, scale, 0.0)
-                mesh_bank[pairs, own] = leak
+                        scale = np.sqrt(x * launch_mw / power)
+                    leak *= np.where(power > 0.0, scale, 0.0)
+                born[slot + col.start : slot + col.stop] = leak
             slot += len(stage.theta)
         if include_gain:
             rows *= _gain(layout)
 
     # suffix_t is the transpose of the transfer S from the current point to
     # the output, leaks excluded: row i of suffix_t is column i of S.
-    suffix_t = np.eye(n, dtype=complex)
     for layout, layer in zip(reversed(layers), reversed(stages)):
         if include_gain:
             suffix_t *= _gain(layout)
@@ -227,12 +235,11 @@ def _crosstalk_pass(
                 suffix_t *= stage[:, None]
                 continue
             slot -= len(stage.theta)
-            mesh_bank = bank[:, slot : slot + len(stage.theta)]
-            for col, pairs, own in reversed(stage.columns):
-                pair, mapped = suffix_t[pairs], mesh_bank[:, col].transpose(1, 0, 2)
-                np.matmul(pair.transpose(0, 2, 1), mesh_bank[pairs, own], out=mapped)
+            for col, pairs in reversed(stage.columns):
+                slots = slice(slot + col.start, slot + col.stop)
+                pair = suffix_t[pairs]
+                yield slots, pair.transpose(0, 2, 1) @ born[slots]
                 suffix_t[pairs] = stage.cells[col].transpose(0, 2, 1) @ pair
-    return PropagationResult(signal, leaks, suffix_t.T)
 
 
 def _as_field_array(x, n: int) -> np.ndarray:
@@ -359,9 +366,10 @@ def monte_carlo_interference(
     }
 
 
-# Leak-bank bytes resolve_crosstalk_fields turns into phased fields at a
-# time: it bounds the temporaries (phases, magnitudes, phasors), not the bank.
-_RESOLVE_BLOCK_BYTES = 8 * 2**20
+# Bytes of the float64 magnitude bank resolve_crosstalk_fields turns into
+# phased fields at a time: it bounds the temporaries (phases, phasors), not
+# the bank; 4 MB of magnitudes take as many rows as 8 MB of complex leaks.
+_RESOLVE_BLOCK_BYTES = 4 * 2**20
 
 
 def resolve_crosstalk_fields(
@@ -383,6 +391,6 @@ def resolve_crosstalk_fields(
         block = leaks[lo : lo + rows]
         rho = rng.uniform(0.0, 2.0 * math.pi, size=block.shape)
         out[lo : lo + rows] = result.signal[lo : lo + rows] + np.sum(
-            np.abs(block) * np.exp(1j * rho), axis=1
+            block * np.exp(1j * rho), axis=1
         )
     return out

@@ -4,7 +4,10 @@ The adjoint engine in :mod:`spnn.propagation` (forward signal pass, one
 backward pass over the suffix transfer) is compared with the per-MZI
 forward-push oracle in ``oracle_propagation.py`` on identically seeded
 streams, and its final suffix with the oracle's lossy transfer matrix; the
-blocked leak resolution is compared with the one-shot formula.
+blocked leak resolution is compared with the one-shot formula. The public
+results keep only leak magnitudes, so the complex leak amplitudes are read
+from the pass's own column generator, and the public leak bank is checked
+to be their magnitude bit for bit.
 """
 
 import math
@@ -18,8 +21,9 @@ import oracle_propagation as oracle
 from spnn import propagation
 from spnn.device import MziParams
 from spnn.mesh import compile_layer
-from spnn.numerics import Rng
+from spnn.numerics import Rng, dbm_to_mw
 from spnn.propagation import (
+    PropagationResult,
     NetworkSpec,
     network_cascade,
     propagate_signal,
@@ -48,6 +52,33 @@ def _field(n, samples, seed):
 
 def _rng(seed):
     return None if seed is None else Rng(seed)
+
+
+def _complex_pass(layers, p, x, rng, leak_birth, launch_mw, include_gain):
+    """The crosstalk pass with its complex mapped leaks kept: the signal,
+    every column's amplitudes from ``propagation._mapped_leaks`` stacked
+    into an (N, K[, S]) bank, and the final suffix transfer."""
+    signal = np.array(x, dtype=complex)
+    n = signal.shape[0]
+    rows = signal.reshape(n, -1)
+    k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
+    bank = np.full((n, k_total, rows.shape[1]), np.nan, dtype=complex)
+    suffix_t = np.eye(n, dtype=complex)
+    for slots, mapped in propagation._mapped_leaks(
+        layers, p, rows, rng, leak_birth, launch_mw, include_gain, suffix_t
+    ):
+        bank[:, slots] = mapped.transpose(1, 0, 2)
+    leaks = bank.reshape((n, k_total) + signal.shape[1:])
+    return PropagationResult(signal, leaks, suffix_t.T)
+
+
+def _assert_is_magnitude_of(res, kept):
+    """``res`` holds exactly the signal, the transfer and the magnitudes of
+    the complex leaks the column generator yields on the same stream."""
+    assert res.leak_fields.dtype == np.float64
+    assert res.leak_fields.tobytes() == np.abs(kept.leak_fields).tobytes()
+    assert res.signal.tobytes() == kept.signal.tobytes()
+    assert res.transfer.tobytes() == kept.transfer.tobytes()
 
 
 def _assert_agrees(res, ref):
@@ -81,7 +112,17 @@ def test_network_cascade_matches_forward_push_oracle(
     x = None if launch else _field(n, samples, seed)
     res = network_cascade(spec, x, rng=_rng(rng_seed), leak_birth=leak_birth)
     ref = oracle.network_cascade(spec, x, rng=_rng(rng_seed), leak_birth=leak_birth)
-    _assert_agrees(res, ref)
+    kept = _complex_pass(
+        spec.layers,
+        params,
+        spec.launch_field() if x is None else x,
+        _rng(rng_seed),
+        leak_birth,
+        dbm_to_mw(spec.input_power_dbm),
+        include_gain=True,
+    )
+    _assert_agrees(kept, ref)
+    _assert_is_magnitude_of(res, kept)
 
 
 @settings(max_examples=60)
@@ -104,7 +145,11 @@ def test_propagate_with_crosstalk_matches_forward_push_oracle(
     ref = oracle.propagate_with_crosstalk(
         layout, params, x, rng=_rng(rng_seed), leak_birth=leak_birth
     )
-    _assert_agrees(res, ref)
+    kept = _complex_pass(
+        [layout], params, x, _rng(rng_seed), leak_birth, 1.0, include_gain=False
+    )
+    _assert_agrees(kept, ref)
+    _assert_is_magnitude_of(res, kept)
 
 
 @pytest.mark.parametrize("mode", ["ideal", "lossy"])
