@@ -33,7 +33,7 @@ import numpy as np
 
 from spnn.data import FeatureDataset
 from spnn.device import MziParams
-from spnn.mesh import LayerLayout, compile_layer
+from spnn.mesh import LayerLayout, compile_layer, compile_layers
 from spnn.numerics import Rng, mw_to_dbm, power_to_db
 from spnn.propagation import (
     NetworkSpec,
@@ -144,6 +144,26 @@ def _random_layers(n: int, m: int, rng: Rng) -> list[LayerLayout]:
     return [compile_layer(rng.standard_normal((n, n))) for _ in range(m)]
 
 
+# Trials per compile_layers call in the ensemble statistics. It bounds the
+# layouts held at once, and so peak memory; results do not depend on it.
+_COMPILE_GROUP = 32
+
+
+def _compiled_trials(n: int, m: int, trials: int, seed: int):
+    """Yields, for trial i, ``Rng(seed + i)`` after its m weight draws and
+    the m layers compiled from them. Each group of ``_COMPILE_GROUP``
+    trials draws its weights first and compiles them in one stacked call;
+    compiling draws no random numbers, so each trial's stream goes on as if
+    it had compiled alone."""
+    for lo in range(0, trials, _COMPILE_GROUP):
+        rngs = [Rng(seed + i) for i in range(lo, min(lo + _COMPILE_GROUP, trials))]
+        layouts = compile_layers(
+            np.array([r.standard_normal((n, n)) for r in rngs for _ in range(m)])
+        )
+        for k, r in enumerate(rngs):
+            yield r, layouts[k * m : (k + 1) * m]
+
+
 def _port_ratios(lossy_pow, ideal_pow, input_pow: float) -> np.ndarray:
     """Per-port lossy/ideal output power ratios. A port whose ideal power is
     below 1e-20 of the input power is dark: its ratio means nothing and is
@@ -176,18 +196,15 @@ def _il_ratios(
 # Ensemble statistics
 # --------------------------------------------------------------------------
 
-def _layer_trial(
-    n: int, p: MziParams, seed: int, launch_mw: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One single-layer trial: a random weight matrix and a random-phase
-    input of ``launch_mw`` per port, both drawn from ``Rng(seed)``. Returns
-    the per-port IL ratios (no gain) and the physical leak amplitudes
-    (n, K)."""
-    r = Rng(seed)
-    layout = compile_layer(r.standard_normal((n, n)))
-    x = random_phase_input(n, r) * math.sqrt(launch_mw)
-    res = propagate_with_crosstalk(layout, p, x, rng=r)
-    return _il_ratios(res, [layout], p, x), res.leak_fields
+def _layer_trials(n: int, p: MziParams, trials: int, seed: int, launch_mw: float):
+    """Single-layer trials: trial i is a random weight matrix and a
+    random-phase input of ``launch_mw`` per port, both drawn from
+    ``Rng(seed + i)``. Yields per trial the per-port IL ratios (no gain)
+    and the physical leak amplitudes (n, K)."""
+    for r, (layout,) in _compiled_trials(n, 1, trials, seed):
+        x = random_phase_input(n, r) * math.sqrt(launch_mw)
+        res = propagate_with_crosstalk(layout, p, x, rng=r)
+        yield _il_ratios(res, [layout], p, x), res.leak_fields
 
 
 def layer_statistics(
@@ -206,8 +223,7 @@ def layer_statistics(
     ratios = []
     xp_mean = []
     xp_aligned = []
-    for i in range(trials):
-        ratio, amps = _layer_trial(n, p, seed + i, launch_mw=1.0)
+    for ratio, amps in _layer_trials(n, p, trials, seed, launch_mw=1.0):
         ratios.append(ratio)
         xp_mean.append(np.sum(amps**2, axis=1))
         xp_aligned.append(np.sum(amps, axis=1) ** 2)
@@ -244,9 +260,7 @@ def network_statistics(
     per_matrix_max = []
     xp_total = []
     xp_aligned = []
-    for i in range(trials):
-        r = Rng(seed + i)
-        layers = _random_layers(n, m, r)
+    for r, layers in _compiled_trials(n, m, trials, seed):
         x = random_phase_input(n, r)
         res = network_cascade(
             NetworkSpec(layers, p), x, rng=r, leak_birth="nominal"
@@ -335,6 +349,9 @@ def penalty_statistics(
     Each matrix contributes its binding (worst) port's requirement under
     aligned crosstalk from the power-budget ledger; the "average" is the
     ensemble mean of those per-matrix penalties.
+
+    Layers compile one compile_layer call each, not in trial groups:
+    perfbench's traced self-test counts compile_layer calls on this path.
     """
     penalties = []
     for i in range(trials):

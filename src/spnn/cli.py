@@ -23,7 +23,7 @@ from spnn.analysis import (
     EXPECTED_ALPHA_RANGES,
     ComplexMlp,
     TrainResult,
-    _layer_trial,
+    _layer_trials,
     accuracy_eval,
     crosstalk_grid,
     joint_loss_sample,
@@ -190,8 +190,7 @@ def _cmd_layer_stats(cfg, out_dir):
     p = cfg.mzi_params()
     launch_mw = 10.0 ** (cfg.launch_power_dbm / 10.0)
     il_db, xp_dbm = [], []
-    for i in range(cfg.trials):
-        ratios, amps = _layer_trial(cfg.n, p, cfg.seed + i, launch_mw)
+    for ratios, amps in _layer_trials(cfg.n, p, cfg.trials, cfg.seed, launch_mw):
         il_db.append(power_to_db(ratios))
         xp_dbm.append(mw_to_dbm(np.sum(amps**2, axis=1)))
     il_db, xp_dbm = np.array(il_db).T, np.array(xp_dbm).T  # (port, trial)

@@ -15,14 +15,14 @@ which is what :func:`spnn.device.mzi_transfer` reduces to at zero dB loss.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.numerics import is_unitary, svd, unitarity_residual
+from spnn.numerics import _member, svd, unitarity_residual
 
 __all__ = [
     "Mesh",
@@ -31,6 +31,7 @@ __all__ = [
     "clements_decompose",
     "clements_reconstruct",
     "diagonal_to_attenuators",
+    "compile_layers",
     "compile_layer",
     "layout_to_json",
     "layout_from_json",
@@ -43,7 +44,8 @@ TWO_PI = 2.0 * math.pi
 class Mesh:
     """The MZIs of one stage as arrays in light order: stable-sorted by depth
     column, nulling order within a column. ``row`` is each MZI's upper
-    waveguide; theta lies in [0, pi] and phi in [0, 2*pi)."""
+    waveguide; theta lies in [0, pi] and phi in [0, 2*pi). Compiled meshes
+    of one port count share their schedule's read-only column and row."""
 
     column: np.ndarray
     row: np.ndarray
@@ -71,16 +73,36 @@ class Mesh:
     def __len__(self) -> int:
         return len(self.theta)
 
+    @classmethod
+    def _compiled(cls, column, row, theta, phi) -> "Mesh":
+        """A mesh built by the compiler, skipping the checks above: its
+        column and row belong to a schedule checked when it was built, and
+        its phases lie in range by construction."""
+        mesh = object.__new__(cls)
+        object.__setattr__(mesh, "column", column)
+        object.__setattr__(mesh, "row", row)
+        object.__setattr__(mesh, "theta", theta)
+        object.__setattr__(mesh, "phi", phi)
+        return mesh
+
 
 def _check_mesh(mesh: Mesh, n: int) -> None:
     """Rejects an MZI outside the n waveguides and two MZIs sharing a
-    waveguide in one column."""
-    outside = mesh.row + 1 >= n
+    waveguide in one column. A mesh on the schedule of n passes at once:
+    the schedule was checked when it was built."""
+    sched = _schedule(n)
+    if mesh.column is sched.column and mesh.row is sched.row:
+        return
+    _check_placements(mesh.column, mesh.row, n)
+
+
+def _check_placements(column: np.ndarray, row: np.ndarray, n: int) -> None:
+    outside = row + 1 >= n
     if outside.any():
-        raise ValueError(f"mesh rows out of range for n={n}: {mesh.row[outside]}")
+        raise ValueError(f"mesh rows out of range for n={n}: {row[outside]}")
     # With every row below n - 1, two MZIs share a waveguide exactly when
     # their keys column * n + row are less than 2 apart.
-    keys = np.sort(mesh.column * n + mesh.row)
+    keys = np.sort(column * n + row)
     if (keys[1:] - keys[:-1] < 2).any():
         raise ValueError("two MZIs share a waveguide in one column")
 
@@ -135,124 +157,227 @@ def lossless_cells(theta, phi) -> np.ndarray:
     return (1j * np.exp(1j * half))[..., None, None] * cells
 
 
-def _cell(theta: float, phi: float) -> tuple[tuple[complex, complex], ...]:
-    """T(theta, phi) as rows of Python scalars."""
-    half = theta / 2.0
-    s, c = math.sin(half), math.cos(half)
-    g, ephi = 1j * cmath.exp(1j * half), cmath.exp(1j * phi)
-    return (g * (ephi * s), g * c), (g * (ephi * c), g * -s)
+def _wrap_phi(phi):
+    """Phases wrapped into [0, 2*pi)."""
+    phi = np.fmod(phi, TWO_PI)
+    return np.where(phi < 0, phi + TWO_PI, phi)
 
 
-def _wrap_phi(phi: float) -> float:
-    phi = math.fmod(phi, TWO_PI)
-    return phi + TWO_PI if phi < 0 else phi
+@dataclass(frozen=True, eq=False)
+class _Schedule:
+    """The rectangular nulling order of an n-port mesh, which depends only on
+    n (Clements et al., Optica 3, 1460, 2016).
+
+    ``steps`` lists the nullings as (left, mode, index). A right nulling
+    rotates columns (mode, mode+1) to null entry (index, mode); a left one
+    rotates rows (mode, mode+1) to null entry (mode+1, index). The mesh
+    applies the rights as nulled, then every left folded through the
+    diagonal, last first; ``order`` takes that application order to light
+    order, whose MZIs sit at ``column`` and ``row``. ``folds`` groups the
+    folds by column as (fold positions, their lefts' positions in ``left``,
+    modes); a column's MZIs share no waveguide, so its folds are
+    independent."""
+
+    steps: tuple[tuple[bool, int, int], ...]
+    right: np.ndarray
+    left: np.ndarray
+    folds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    order: np.ndarray
+    column: np.ndarray
+    row: np.ndarray
 
 
-def _null_right(a: complex, b: complex) -> tuple[float, float]:
-    """(theta, phi) so that a*e^{-j phi}*sin(t/2) + b*cos(t/2) = 0."""
-    theta = 2.0 * math.atan2(abs(b), abs(a))
-    if abs(a) < 1e-300 or abs(b) < 1e-300:
-        return theta, 0.0
-    return theta, _wrap_phi(cmath.phase(a) - cmath.phase(-b))
-
-
-def _null_left(a: complex, b: complex) -> tuple[float, float]:
-    """(theta, phi) so that e^{j phi}*cos(t/2)*a - sin(t/2)*b = 0."""
-    theta = 2.0 * math.atan2(abs(a), abs(b))
-    if abs(a) < 1e-300 or abs(b) < 1e-300:
-        return theta, 0.0
-    return theta, _wrap_phi(cmath.phase(b) - cmath.phase(a))
-
-
-def _push_through_diagonal(
-    theta: float, phi: float, d0: complex, d1: complex
-) -> tuple[float, float, complex, complex]:
-    """Rewrite T(theta,phi)^{-1} @ diag(d0,d1) as diag(d0',d1') @ T(t',p')."""
-    (t00, t01), (t10, t11) = _cell(theta, phi)
-    # x = T^H @ diag(d0, d1)
-    x00, x01 = t00.conjugate() * d0, t10.conjugate() * d1
-    x10, x11 = t01.conjugate() * d0, t11.conjugate() * d1
-    theta_p = 2.0 * math.atan2(abs(x00), abs(x01))
-    s, c = math.sin(theta_p / 2.0), math.cos(theta_p / 2.0)
-    base = 1j * cmath.exp(1j * theta_p / 2.0)
-    eps = 1e-12
-    if c > eps and s > eps:
-        d0p = x01 / (base * c)
-        ephi = x00 / (d0p * base * s)
-        d1p = x10 / (base * c * ephi)
-        phi_p = _wrap_phi(cmath.phase(ephi))
-    elif s <= eps:  # bar-like: off-diagonal of T' vanishes on the diagonal
-        phi_p = 0.0
-        d0p = x01 / base
-        d1p = x10 / base
-    else:  # c <= eps, cross-like
-        phi_p = 0.0
-        d0p = x00 / (base * s)
-        d1p = -x11 / (base * s)
-    return theta_p, phi_p, d0p, d1p
-
-
-def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarray]:
-    """Rectangular-mesh decomposition of a unitary.
-
-    Returns a mesh of exactly N(N-1)/2 MZIs plus a per-port output phase
-    screen, such that ``clements_reconstruct(mesh, n, screen)`` reproduces
-    ``u``. Each nulling rotates two columns or two rows in place: O(N^3)
-    arithmetic in O(N^2) scalar steps.
-    """
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got {u.shape}")
-    if not is_unitary(u, tol):
-        raise ValueError(
-            f"input is not unitary: residual {unitarity_residual(u):.3e} "
-            f"exceeds tol {tol:g}"
-        )
-
-    v = u.copy()
-    applied: list[tuple[int, float, float]] = []  # (mode, theta, phi)
-    lefts: list[tuple[int, float, float]] = []
-
+@functools.cache
+def _schedule(n: int) -> _Schedule:
+    """The schedule of n, built and checked once; its arrays are read-only
+    and shared by every mesh compiled at n."""
+    steps = []
     for i in range(n - 1):
         for j in range(i + 1):
             if i % 2 == 0:
-                # Null v[n-1-j, i-j] from the right on modes (i-j, i-j+1).
-                m, r = i - j, n - 1 - j
-                theta, phi = _null_right(complex(v[r, m]), complex(v[r, m + 1]))
-                tinv = np.array(_cell(theta, phi)).conj().T
-                v[:, m : m + 2] = v[:, m : m + 2] @ tinv
-                applied.append((m, theta, phi))
+                steps.append((False, i - j, n - 1 - j))
             else:
-                # Null v[n-1-i+j, j] from the left on rows above it.
-                r = n - 1 - i + j
-                theta, phi = _null_left(complex(v[r - 1, j]), complex(v[r, j]))
-                v[r - 1 : r + 1, :] = np.array(_cell(theta, phi)) @ v[r - 1 : r + 1, :]
-                lefts.append((r - 1, theta, phi))
-
-    diag = np.diagonal(v).tolist()
-    if np.max(np.abs(v - np.diag(diag))) > 1e3 * tol:
-        raise ValueError("nulling did not reach diagonal form")
-
-    # U = L1^-1 ... Lp^-1 D Rq ... R1; fold each left inverse through the
-    # diagonal, last first, so everything becomes screen @ (ordinary MZI
-    # factors) and the folded factors apply to the input after the rights.
-    for m, theta, phi in reversed(lefts):
-        theta_p, phi_p, diag[m], diag[m + 1] = _push_through_diagonal(
-            theta, phi, diag[m], diag[m + 1]
-        )
-        applied.append((m, theta_p, phi_p))
-
+                steps.append((True, n - 2 - i + j, j))
+    right = np.array([k for k, step in enumerate(steps) if not step[0]], dtype=int)
+    left = np.array([k for k, step in enumerate(steps) if step[0]], dtype=int)
+    modes = np.array([steps[k][1] for k in [*right, *left[::-1]]], dtype=int)
     next_col = [0] * n
-    columns = np.zeros(len(applied), dtype=int)
-    for k, (m, _, _) in enumerate(applied):
+    columns = np.zeros(len(modes), dtype=int)
+    for k, m in enumerate(modes.tolist()):
         columns[k] = max(next_col[m], next_col[m + 1])
         next_col[m] = next_col[m + 1] = columns[k] + 1
+    fold_columns = columns[len(right) :]
+    folds = []
+    for col in np.unique(fold_columns):
+        pos = np.flatnonzero(fold_columns == col)
+        folds.append((pos, len(left) - 1 - pos, modes[len(right) + pos]))
     # Light order: column by column, application order within a column.
     order = np.argsort(columns, kind="stable")
-    rows, thetas, phis = np.array(applied, dtype=float).reshape(-1, 3)[order].T
-    mesh = Mesh(columns[order], rows, np.minimum(thetas, math.pi), phis)
-    return mesh, np.angle(diag)
+    column, row = columns[order], modes[order]
+    _check_placements(column, row, n)
+    for a in (right, left, order, column, row, *(a for f in folds for a in f)):
+        a.flags.writeable = False
+    return _Schedule(tuple(steps), right, left, tuple(folds), order, column, row)
+
+
+def _null(v: np.ndarray, steps) -> np.ndarray:
+    """Run the nulling ``steps`` in place on a stack held as v (N, N, B),
+    leaving each matrix diagonal. Returns each step's pair (a, b) before
+    the step (steps, 2, B): for a right nulling a = v[index, mode] and
+    b = v[index, mode+1], for a left one a = v[mode, index] and
+    b = v[mode+1, index].
+
+    A right nulling applies T(theta, phi)^H to columns (x, y) with theta =
+    2 atan2(|b|, |a|) and e^{j phi} = -u_a u_b^*; a left one applies T to
+    rows (x, y) with theta = 2 atan2(|a|, |b|) and e^{j phi} = u_a^* u_b
+    (u = z/|z|). phi is 0 where |a| or |b| is below 1e-300. With s, c =
+    sin, cos(theta/2), both updates take the form x <- p e s x + p q0 y,
+    y <- p e c x + p q1 y, with (B,) coefficients set below."""
+    b = v.shape[-1]
+    pairs = np.empty((len(steps), 2, b), dtype=complex)
+    sc = np.zeros((2, b), dtype=complex)  # (s, c), real
+    q = np.zeros((2, b), dtype=complex)  # real
+    p = np.empty(b, dtype=complex)
+    for k, (left, mode, index) in enumerate(steps):
+        if left:
+            slab = v[mode : mode + 2]  # rows x, y: (2, N, B)
+            pair = slab[:, index]
+        else:
+            slab = v[:, mode : mode + 2]  # columns x, y: (N, 2, B)
+            pair = slab[index]
+        pairs[k] = pair
+        mag = np.abs(pair)
+        half = np.arctan2(mag[0], mag[1]) if left else np.arctan2(mag[1], mag[0])
+        s = np.sin(half, out=sc.real[0])
+        c = np.cos(half, out=sc.real[1])
+        unit = pair / mag
+        e = unit[1] * unit[0].conj()
+        # Left: T = g [[e s, c], [e c, -s]] with p = g = -s + jc, so
+        # (q0, q1) = (c, -s). Right: T^H columns give x <- g^* (e^* s x +
+        # c y), y <- g^* (e^* c x - s y) with e^* = -e; p = -g^* = s + jc
+        # takes the sign, so (q0, q1) = (-c, s) and a dead pair has e = -1.
+        np.copyto(e, 1.0 if left else -1.0, where=np.minimum(mag[0], mag[1]) < 1e-300)
+        p.imag = c
+        if left:
+            np.negative(s, out=p.real)
+            q.real[0] = c
+            np.negative(s, out=q.real[1])
+        else:
+            p.real = s
+            np.negative(c, out=q.real[0])
+            q.real[1] = s
+        x_coef = (p * e) * sc
+        y_coef = p * q
+        if left:
+            new = x_coef[:, None] * slab[:1]
+            new += y_coef[:, None] * slab[1:]
+        else:
+            new = slab[:, :1] * x_coef
+            new += slab[:, 1:] * y_coef
+        slab[...] = new
+    return pairs
+
+
+def _fold(phases: np.ndarray, d: np.ndarray, folds) -> tuple[np.ndarray, np.ndarray]:
+    """Rewrite each left factor's inverse T(theta, phi)^{-1} @ diag(d0, d1)
+    as diag(d0', d1') @ T(theta', phi'), last left first, column by column.
+    ``phases`` holds the left cells' (theta, phi) as (2, L, B); ``d`` (N, B)
+    is updated in place. Returns theta' and e^{j phi'} (L, B) by fold
+    position. Where sin or cos(theta'/2) is below 1e-12 (bar- or cross-like)
+    phi' is 0 and d0', d1' come from the surviving entries."""
+    tc = lossless_cells(*phases).conj()
+    theta = np.empty(phases.shape[1:])
+    ephi = np.empty(phases.shape[1:], dtype=complex)
+    eps = 1e-12
+    for pos, lefts, ms in folds:
+        t = tc[lefts]
+        d0, d1 = d[ms], d[ms + 1]
+        # x = T^H @ diag(d0, d1)
+        x00, x01 = t[..., 0, 0] * d0, t[..., 1, 0] * d1
+        x10, x11 = t[..., 0, 1] * d0, t[..., 1, 1] * d1
+        half = np.arctan2(np.abs(x00), np.abs(x01))
+        h = np.exp(1j * half)
+        c, s = h.real, h.imag
+        base = 1j * h
+        bc, bs = base * c, base * s
+        general = (c > eps) & (s > eps)
+        bar = s <= eps
+        d0p = x01 / bc
+        e = x00 / (d0p * base * s)
+        d1p = x10 / (bc * e)
+        d[ms] = np.where(general, d0p, np.where(bar, x01 / base, x00 / bs))
+        d[ms + 1] = np.where(general, d1p, np.where(bar, x10 / base, -x11 / bs))
+        theta[pos] = 2.0 * half
+        ephi[pos] = np.where(general, e, 1.0)
+    return theta, ephi
+
+
+def clements_decompose(u: np.ndarray, tol: float = 1e-8):
+    """Rectangular-mesh decomposition of a unitary, or of a stack of them.
+
+    For an (N, N) unitary returns a mesh of exactly N(N-1)/2 MZIs plus a
+    per-port output phase screen, such that ``clements_reconstruct(mesh, n,
+    screen)`` reproduces ``u``; for a stack (B, N, N) returns the B meshes
+    and the (B, N) screens. One loop walks the schedule of N once for the
+    whole stack: each step rotates two columns or two rows of every matrix
+    with (B,) angles, O(N^3) arithmetic per matrix. A matrix's phases do
+    not depend on the rest of the stack.
+    """
+    us = np.asarray(u, dtype=complex)
+    single = us.ndim == 2
+    if single:
+        us = us[None]
+    if us.ndim != 3 or us.shape[1] != us.shape[2]:
+        raise ValueError(
+            f"expected a square matrix or a stack of them, got {np.shape(u)}"
+        )
+    b, n = us.shape[:2]
+    resid = unitarity_residual(us)
+    bad = np.flatnonzero(~(resid < tol))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"input is not unitary: residual {resid[i]:.3e} exceeds tol {tol:g}"
+            f"{_member(i, b)}"
+        )
+
+    sched = _schedule(n)
+    v = np.moveaxis(us, 0, -1).copy()  # (N, N, B): each step's slices are (N, B)
+    # Zero amplitudes and degenerate folds divide by zero in the branches
+    # their masks discard.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pairs = _null(v, sched.steps)
+        d = np.diagonal(v).T.copy()  # (N, B)
+        v[np.arange(n), np.arange(n)] = 0.0
+        off = np.abs(v).max(axis=(0, 1), initial=0.0)
+        bad = np.flatnonzero(~(off <= 1e3 * tol))
+        if bad.size:
+            raise ValueError(f"nulling did not reach diagonal form{_member(bad[0], b)}")
+
+        # As (p0, p1) = (a, -b) for a right nulling and (b, a) for a left one,
+        # theta = 2 atan2(|p1|, |p0|) and phi = arg(p0) - arg(p1) for both.
+        pairs[sched.right, 1] *= -1.0
+        pairs[sched.left] = pairs[sched.left, ::-1]
+        mag = np.abs(pairs)
+        theta = 2.0 * np.arctan2(mag[:, 1], mag[:, 0])
+        phi = _wrap_phi(np.angle(pairs[:, 0]) - np.angle(pairs[:, 1]))
+        phi[np.minimum(mag[:, 0], mag[:, 1]) < 1e-300] = 0.0
+
+        # U = L1^-1 ... Lp^-1 D Rq ... R1; fold each left inverse through
+        # the diagonal, last first, so everything becomes screen @ (ordinary
+        # MZI factors) and the folded factors apply after the rights.
+        left_phases = np.stack([theta[sched.left], phi[sched.left]])
+        fold_theta, fold_ephi = _fold(left_phases, d, sched.folds)
+    right = sched.right
+    thetas = np.concatenate([theta[right], fold_theta])[sched.order]
+    phis = np.concatenate([phi[right], _wrap_phi(np.angle(fold_ephi))])[sched.order]
+    thetas = np.ascontiguousarray(np.minimum(thetas, math.pi).T)
+    phis = np.ascontiguousarray(phis.T)
+    screens = np.ascontiguousarray(np.angle(d).T)
+    meshes = [
+        Mesh._compiled(sched.column, sched.row, t, p) for t, p in zip(thetas, phis)
+    ]
+    return (meshes[0], screens[0]) if single else (meshes, screens)
 
 
 def clements_reconstruct(
@@ -279,6 +404,19 @@ def clements_reconstruct(
     return m
 
 
+def _attenuators(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta, phi (B, N) and s_max (B,) of the attenuators realizing each
+    row of s (B, N) >= 0 (see :func:`diagonal_to_attenuators`)."""
+    s_max = s.max(axis=1, initial=0.0)
+    bad = np.flatnonzero(s_max == 0.0)
+    if bad.size:
+        raise ValueError(
+            f"all-zero diagonal: degenerate layer{_member(bad[0], len(s))}"
+        )
+    theta = 2.0 * np.arcsin(np.minimum(1.0, s / s_max[:, None]))
+    return theta, _wrap_phi(-theta / 2.0 - math.pi / 2.0), s_max
+
+
 def diagonal_to_attenuators(s: np.ndarray) -> tuple[Mesh, float]:
     """Realize a nonnegative diagonal as per-port single-pass MZIs.
 
@@ -290,18 +428,55 @@ def diagonal_to_attenuators(s: np.ndarray) -> tuple[Mesh, float]:
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("diagonal values must be >= 0")
-    s_max = float(np.max(s)) if s.size else 0.0
-    if s_max == 0.0:
-        raise ValueError("all-zero diagonal: degenerate layer")
-    thetas = [2.0 * math.asin(min(1.0, sk / s_max)) for sk in s]
-    phis = [_wrap_phi(-theta / 2.0 - math.pi / 2.0) for theta in thetas]
-    return Mesh(np.zeros(len(s), dtype=int), np.arange(len(s)), thetas, phis), s_max
+    theta, phi, s_max = _attenuators(s[None])
+    mesh = Mesh(np.zeros(len(s), dtype=int), np.arange(len(s)), theta[0], phi[0])
+    return mesh, float(s_max[0])
+
+
+def compile_layers(
+    ws: np.ndarray, gain_db: float = 17.0, nau_loss_db: float = 1.0
+) -> list[LayerLayout]:
+    """SVD + Clements compilation of a stack (B, N, N) of square weight
+    matrices: one stacked SVD, then one decomposition loop over all 2B
+    unitaries. Returns one layout per matrix, equal to what the matrix
+    compiles to alone; the ideal lossless end-to-end transfer of layout i
+    equals ``ws[i] / s_max``.
+    """
+    ws = np.asarray(ws, dtype=complex)
+    if ws.ndim != 3 or ws.shape[1] != ws.shape[2]:
+        raise ValueError(
+            f"compile_layers expects a stack of square matrices, got {ws.shape}"
+        )
+    b, n = ws.shape[:2]
+    bad = np.flatnonzero(~np.isfinite(ws).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"weights contain NaN or inf{_member(bad[0], b)}")
+    u, s, vh = svd(ws)
+    meshes, screens = clements_decompose(np.concatenate([u, vh]))
+    theta, phi, s_max = _attenuators(s)
+    column, row = np.zeros(n, dtype=int), np.arange(n)
+    column.flags.writeable = row.flags.writeable = False
+    return [
+        LayerLayout(
+            n=n,
+            v_mesh=meshes[b + i],
+            v_screen=screens[b + i],
+            sigma_stage=Mesh._compiled(column, row, theta[i], phi[i]),
+            s_max=float(s_max[i]),
+            u_mesh=meshes[i],
+            u_screen=screens[i],
+            gain_db=gain_db,
+            nau_loss_db=nau_loss_db,
+        )
+        for i in range(b)
+    ]
 
 
 def compile_layer(
     w: np.ndarray, gain_db: float = 17.0, nau_loss_db: float = 1.0
 ) -> LayerLayout:
-    """SVD + Clements compilation of a square weight matrix.
+    """SVD + Clements compilation of a square weight matrix: a stack of one
+    through :func:`compile_layers`.
 
     The ideal lossless end-to-end transfer of the returned layout equals
     ``w / s_max``.
@@ -309,23 +484,7 @@ def compile_layer(
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"compile_layer expects a square matrix, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights contain NaN or inf")
-    u, s, vh = svd(w)
-    u_mesh, u_screen = clements_decompose(u)
-    v_mesh, v_screen = clements_decompose(vh)
-    sigma_stage, s_max = diagonal_to_attenuators(s)
-    return LayerLayout(
-        n=w.shape[0],
-        v_mesh=v_mesh,
-        v_screen=v_screen,
-        sigma_stage=sigma_stage,
-        s_max=s_max,
-        u_mesh=u_mesh,
-        u_screen=u_screen,
-        gain_db=gain_db,
-        nau_loss_db=nau_loss_db,
-    )
+    return compile_layers(w[None], gain_db, nau_loss_db)[0]
 
 
 # --------------------------------------------------------------------------

@@ -127,23 +127,37 @@ class Rng:
 # Linear algebra
 # --------------------------------------------------------------------------
 
+def _member(i: int, count: int) -> str:
+    """Names member i of a stack of ``count`` matrices in an error message;
+    empty for a lone matrix."""
+    return f" (matrix {i} of {count})" if count > 1 else ""
+
+
 def svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of a square complex matrix: ``w = U @ diag(S) @ Vh``.
+    """SVD of a square complex matrix, or of a stack (B, N, N) of them:
+    ``w = U @ diag(S) @ Vh`` per matrix.
 
     S is nonnegative and sorted descending; U and Vh are unitary.
-    Raises on non-convergence with the reconstruction residual attached.
+    Raises on non-convergence with the reconstruction residual attached,
+    naming the failing member of a stack.
     """
     w = np.asarray(w, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"svd expects a square matrix, got shape {w.shape}")
+    if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2]:
+        raise ValueError(
+            f"svd expects a square matrix or a stack of them, got shape {w.shape}"
+        )
     try:
         u, s, vh = np.linalg.svd(w)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise np.linalg.LinAlgError(f"SVD failed to converge: {exc}") from exc
-    resid = np.linalg.norm((u * s) @ vh - w)
-    if not np.isfinite(resid) or resid > 1e-9 * max(1.0, np.linalg.norm(w)):
+    resid = np.atleast_1d(np.linalg.norm((u * s[..., None, :]) @ vh - w, axis=(-2, -1)))
+    scale = np.maximum(1.0, np.linalg.norm(w, axis=(-2, -1)))
+    bad = np.flatnonzero(~(resid <= 1e-9 * scale))
+    if bad.size:
+        i = bad[0]
         raise np.linalg.LinAlgError(
-            f"SVD reconstruction residual too large: {resid:.3e}"
+            f"SVD reconstruction residual too large: {resid[i]:.3e}"
+            f"{_member(i, len(resid))}"
         )
     return u, s, vh
 
@@ -153,13 +167,15 @@ def is_unitary(m: np.ndarray, tol: float) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"is_unitary expects a square matrix, got {m.shape}")
-    resid = m @ m.conj().T - np.eye(m.shape[0])
-    return bool(np.max(np.abs(resid)) < tol)
+    return bool(unitarity_residual(m) < tol)
 
 
-def unitarity_residual(m: np.ndarray) -> float:
+def unitarity_residual(m: np.ndarray):
+    """``max|m @ m^H - I|`` of a square matrix, or per matrix (B,) of a
+    stack (B, N, N)."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
+    gram = m @ m.conj().swapaxes(-1, -2)
+    return np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0)
 
 
 def random_unitary(n: int, rng: Rng) -> np.ndarray:

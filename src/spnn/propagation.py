@@ -367,8 +367,8 @@ def monte_carlo_interference(
 
 
 # Bytes of the float64 magnitude bank resolve_crosstalk_fields turns into
-# phased fields at a time: it bounds the temporaries (phases, phasors), not
-# the bank; 4 MB of magnitudes take as many rows as 8 MB of complex leaks.
+# phased fields at a time: it bounds the temporaries, one float phase and
+# one complex phasor per magnitude (3x these bytes), not the bank.
 _RESOLVE_BLOCK_BYTES = 4 * 2**20
 
 
@@ -381,16 +381,21 @@ def resolve_crosstalk_fields(
     The bank is resolved in blocks of port rows. The phases are drawn
     block by block in row order, which consumes the stream exactly as one
     draw of the bank's full shape does, so the result does not depend on
-    the block size."""
+    the block size. Each block's phasors cos + j sin (bit for bit
+    ``exp(1j * rho)``) are weighted in place in one reused complex buffer."""
     leaks = result.leak_fields
     if leaks.shape[1] == 0:
         return result.signal.copy()
     rows = max(1, _RESOLVE_BLOCK_BYTES // leaks[0].nbytes)
     out = np.empty(result.signal.shape, dtype=complex)
+    buf = np.empty((min(rows, len(leaks)),) + leaks.shape[1:], dtype=complex)
     for lo in range(0, leaks.shape[0], rows):
         block = leaks[lo : lo + rows]
         rho = rng.uniform(0.0, 2.0 * math.pi, size=block.shape)
-        out[lo : lo + rows] = result.signal[lo : lo + rows] + np.sum(
-            block * np.exp(1j * rho), axis=1
-        )
+        phased = buf[: len(block)]
+        np.cos(rho, out=phased.real)
+        np.sin(rho, out=phased.imag)
+        del rho
+        phased *= block
+        out[lo : lo + rows] = result.signal[lo : lo + rows] + np.sum(phased, axis=1)
     return out

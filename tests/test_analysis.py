@@ -2,6 +2,7 @@
 reference trainer on a separable toy task, power-penalty arithmetic, and
 dark-port handling."""
 
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -18,13 +19,16 @@ from spnn.analysis import (
     accuracy_eval,
     crosstalk_grid,
     joint_loss_sample,
+    layer_statistics,
     loss_sweep,
     network_statistics,
     params_with_alphas,
+    penalty_statistics,
     power_penalty,
     tolerance_search,
     train_reference,
 )
+from spnn.cli import main
 from spnn.data import FeatureDataset
 from spnn.device import MziParams
 from spnn.mesh import compile_layer
@@ -235,6 +239,31 @@ def test_network_statistics_shape_and_reproducibility():
     b = network_statistics(4, 1, p, trials=3, seed=5)
     assert a == b
     assert a.n == 4 and a.m == 1 and a.trials == 3
+
+
+def _ensemble_results(out_dir):
+    p = MziParams()
+    args = ["layer-stats", "--set", "n=4", "--set", "trials=7", "--seed", "2"]
+    assert main(args + ["--out", out_dir]) == 0
+    with open(os.path.join(out_dir, "layer-stats.csv"), "rb") as fh:
+        csv_bytes = fh.read()
+    return (
+        layer_statistics(4, p, trials=7, seed=5),
+        network_statistics(4, 2, p, trials=5, seed=9),
+        penalty_statistics(4, 2, p, trials=4, seed=11),
+        csv_bytes,
+    )
+
+
+def test_ensemble_statistics_do_not_depend_on_the_compile_group(monkeypatch, tmp_path):
+    """Trials compile in groups, each trial's weights drawn from its own
+    stream first; compiling draws nothing and each matrix compiles as it
+    would alone, so the results and the layer-stats CSV are bit-identical
+    for every group size."""
+    want = _ensemble_results(str(tmp_path / "default"))
+    for group in (1, 3):
+        monkeypatch.setattr(analysis, "_COMPILE_GROUP", group)
+        assert _ensemble_results(str(tmp_path / str(group))) == want
 
 
 def test_dark_ideal_port_has_nan_insertion_loss():

@@ -17,6 +17,7 @@ from spnn.mesh import (
     clements_decompose,
     clements_reconstruct,
     compile_layer,
+    compile_layers,
     diagonal_to_attenuators,
     layout_from_json,
     layout_to_json,
@@ -95,6 +96,89 @@ def test_decompose_matches_dense_oracle(n, seed):
         np.testing.assert_allclose(
             np.exp(1j * got), np.exp(1j * ref), rtol=0, atol=1e-9
         )
+
+
+@given(
+    n=st.integers(2, 20),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+)
+def test_stacked_decompose_matches_scalar_and_dense_oracles(n, seeds):
+    us = np.array([random_unitary(n, Rng(seed)) for seed in seeds])
+    meshes, screens = clements_decompose(us)
+    assert len(meshes) == len(seeds) and screens.shape == (len(seeds), n)
+    for u, mesh, screen in zip(us, meshes, screens):
+        for oracle_decompose, tol in (
+            (oracle.scalar_decompose, 1e-12),
+            (oracle.clements_decompose, 1e-9),
+        ):
+            want, want_screen = oracle_decompose(u)
+            np.testing.assert_array_equal(mesh.column, want.column)
+            np.testing.assert_array_equal(mesh.row, want.row)
+            np.testing.assert_allclose(mesh.theta, want.theta, rtol=0, atol=tol)
+            # phi wraps at 2*pi, so phases are compared as phasors.
+            for got, ref in ((mesh.phi, want.phi), (screen, want_screen)):
+                np.testing.assert_allclose(
+                    np.exp(1j * got), np.exp(1j * ref), rtol=0, atol=tol
+                )
+
+
+def _same_mesh(got: Mesh, want: Mesh) -> bool:
+    return all(
+        getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("column", "row", "theta", "phi")
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_degenerate_members_take_their_branches_per_element(n):
+    """Permutations and diagonals, stacked between random unitaries, reach
+    the bar- and cross-like folds and the zero-amplitude nullings while
+    their neighbours take the general branches. Every member decomposes
+    exactly as it does alone."""
+    kinds = [_random(n), *(make(n) for make in _DEGENERATE.values())]
+    us = np.array(kinds + [random_unitary(n, Rng(50 + n))] + kinds[::-1])
+    meshes, screens = clements_decompose(us)
+    for u, mesh, screen in zip(us, meshes, screens):
+        alone, alone_screen = clements_decompose(u)
+        assert _same_mesh(mesh, alone)
+        assert screen.tobytes() == alone_screen.tobytes()
+        rebuilt = clements_reconstruct(mesh, n, screen)
+        assert np.max(np.abs(rebuilt - u)) < 1e-9
+
+
+def test_compile_layers_equals_each_matrix_compiled_alone():
+    ws = Rng(3).standard_normal((5, 6, 6)) + 1j * Rng(4).standard_normal((5, 6, 6))
+    ws[2] = np.eye(6)  # a degenerate member among general ones
+    for w, layout in zip(ws, compile_layers(ws, gain_db=12.0, nau_loss_db=0.5)):
+        alone = compile_layer(w, gain_db=12.0, nau_loss_db=0.5)
+        assert layout_to_json(layout) == layout_to_json(alone)
+        for name in ("v_mesh", "sigma_stage", "u_mesh"):
+            assert _same_mesh(getattr(layout, name), getattr(alone, name))
+        for name in ("v_screen", "u_screen"):
+            assert getattr(layout, name).tobytes() == getattr(alone, name).tobytes()
+
+
+def test_stack_errors_name_the_member():
+    ws = Rng(8).standard_normal((8, 4, 4))
+    ws[3, 1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"NaN or inf \(matrix 3 of 8\)"):
+        compile_layers(ws)
+    us = np.array([random_unitary(4, Rng(k)) for k in range(5)])
+    us[2, 0, 0] += 1e-3
+    with pytest.raises(ValueError, match=r"not unitary.*\(matrix 2 of 5\)"):
+        clements_decompose(us)
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        compile_layers(np.ones((4, 4)))
+
+
+def test_compiled_meshes_share_one_read_only_schedule_per_n():
+    a, b = compile_layers(Rng(9).standard_normal((2, 5, 5)))
+    assert a.u_mesh.column is a.v_mesh.column is b.u_mesh.column
+    assert a.u_mesh.row is b.v_mesh.row
+    alone = compile_layer(Rng(10).standard_normal((5, 5)))
+    assert alone.v_mesh.column is a.u_mesh.column
+    with pytest.raises(ValueError, match="read-only"):
+        a.u_mesh.column[0] = 3
 
 
 def test_decompose_rejects_non_unitary():

@@ -11,6 +11,7 @@ to be their magnitude bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,3 +229,23 @@ def test_blocked_resolution_is_bit_identical_to_one_shot(samples, monkeypatch):
         monkeypatch.setattr(propagation, "_RESOLVE_BLOCK_BYTES", rows * leaks[0].nbytes)
         got = resolve_crosstalk_fields(res, Rng(8))
         assert got.tobytes() == expected.tobytes()
+
+
+def test_default_block_resolve_peaks_below_three_blocks_above_the_bank():
+    """One default-block resolve of an N=32 layer's bank over 180 samples
+    (43.6 MB, two port rows per block) holds one float phase and one
+    complex phasor per magnitude of a block: at most 3x the magnitude bytes
+    a block may hold above the bank (numpy reports its allocations to
+    tracemalloc)."""
+    n, k, samples = 32, 32 * 31, 180
+    leaks = np.abs(Rng(6).standard_normal((n, k, samples)))
+    signal = np.ones((n, samples), dtype=complex)
+    res = PropagationResult(signal, leaks, np.eye(n, dtype=complex))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        resolve_crosstalk_fields(res, Rng(7))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * propagation._RESOLVE_BLOCK_BYTES
