@@ -73,26 +73,10 @@ class Mesh:
     def __len__(self) -> int:
         return len(self.theta)
 
-    @classmethod
-    def _compiled(cls, column, row, theta, phi) -> "Mesh":
-        """A mesh built by the compiler, skipping the checks above: its
-        column and row belong to a schedule checked when it was built, and
-        its phases lie in range by construction."""
-        mesh = object.__new__(cls)
-        object.__setattr__(mesh, "column", column)
-        object.__setattr__(mesh, "row", row)
-        object.__setattr__(mesh, "theta", theta)
-        object.__setattr__(mesh, "phi", phi)
-        return mesh
-
 
 def _check_mesh(mesh: Mesh, n: int) -> None:
     """Rejects an MZI outside the n waveguides and two MZIs sharing a
-    waveguide in one column. A mesh on the schedule of n passes at once:
-    the schedule was checked when it was built."""
-    sched = _schedule(n)
-    if mesh.column is sched.column and mesh.row is sched.row:
-        return
+    waveguide in one column."""
     _check_placements(mesh.column, mesh.row, n)
 
 
@@ -374,9 +358,7 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8):
     thetas = np.ascontiguousarray(np.minimum(thetas, math.pi).T)
     phis = np.ascontiguousarray(phis.T)
     screens = np.ascontiguousarray(np.angle(d).T)
-    meshes = [
-        Mesh._compiled(sched.column, sched.row, t, p) for t, p in zip(thetas, phis)
-    ]
+    meshes = [Mesh(sched.column, sched.row, t, p) for t, p in zip(thetas, phis)]
     return (meshes[0], screens[0]) if single else (meshes, screens)
 
 
@@ -461,7 +443,7 @@ def compile_layers(
             n=n,
             v_mesh=meshes[b + i],
             v_screen=screens[b + i],
-            sigma_stage=Mesh._compiled(column, row, theta[i], phi[i]),
+            sigma_stage=Mesh(column, row, theta[i], phi[i]),
             s_max=float(s_max[i]),
             u_mesh=meshes[i],
             u_screen=screens[i],

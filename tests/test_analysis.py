@@ -23,7 +23,6 @@ from spnn.analysis import (
     loss_sweep,
     network_statistics,
     params_with_alphas,
-    penalty_statistics,
     power_penalty,
     tolerance_search,
     train_reference,
@@ -250,7 +249,6 @@ def _ensemble_results(out_dir):
     return (
         layer_statistics(4, p, trials=7, seed=5),
         network_statistics(4, 2, p, trials=5, seed=9),
-        penalty_statistics(4, 2, p, trials=4, seed=11),
         csv_bytes,
     )
 
