@@ -30,11 +30,9 @@ __all__ = [
     "lossless_cells",
     "clements_decompose",
     "clements_reconstruct",
-    "diagonal_to_attenuators",
     "compile_layers",
     "compile_layer",
     "layout_to_json",
-    "layout_from_json",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -42,27 +40,19 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """The MZIs of one stage as arrays in light order: stable-sorted by depth
-    column, nulling order within a column. ``row`` is each MZI's upper
-    waveguide; theta lies in [0, pi] and phi in [0, 2*pi). Compiled meshes
-    of one port count share their schedule's read-only column and row."""
+    """The phases of one stage's MZIs in light order; theta lies in [0, pi]
+    and phi in [0, 2*pi). In an n-port unitary mesh, MZI k sits where
+    ``_schedule(n)`` places it; in the Sigma stage, attenuator k sits on
+    port k."""
 
-    column: np.ndarray
-    row: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (
-            ("column", int), ("row", int), ("theta", float), ("phi", float)
-        ):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
-        if not len(self.column) == len(self.row) == len(self.theta) == len(self.phi):
+        for name in ("theta", "phi"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        if len(self.theta) != len(self.phi):
             raise ValueError("mesh arrays must have equal lengths")
-        if (self.column < 0).any() or (self.row < 0).any():
-            raise ValueError("column and row must be >= 0")
-        if (self.column[1:] < self.column[:-1]).any():
-            raise ValueError("mesh columns must be non-decreasing (light order)")
         ok = (self.theta >= 0.0) & (self.theta <= math.pi + 1e-12)
         if not ok.all():
             raise ValueError(f"theta must be in [0, pi], got {self.theta[~ok]}")
@@ -74,13 +64,9 @@ class Mesh:
         return len(self.theta)
 
 
-def _check_mesh(mesh: Mesh, n: int) -> None:
+def _check_placements(column: np.ndarray, row: np.ndarray, n: int) -> None:
     """Rejects an MZI outside the n waveguides and two MZIs sharing a
     waveguide in one column."""
-    _check_placements(mesh.column, mesh.row, n)
-
-
-def _check_placements(column: np.ndarray, row: np.ndarray, n: int) -> None:
     outside = row + 1 >= n
     if outside.any():
         raise ValueError(f"mesh rows out of range for n={n}: {row[outside]}")
@@ -94,7 +80,7 @@ def _check_placements(column: np.ndarray, row: np.ndarray, n: int) -> None:
 @dataclass
 class LayerLayout:
     """Physical realization of one layer; light flows V^H -> Sigma -> U.
-    The Sigma stage holds attenuator k at column 0, row k."""
+    The Sigma stage holds attenuator k on port k."""
 
     n: int
     v_mesh: Mesh
@@ -113,13 +99,11 @@ class LayerLayout:
                 f"mesh size mismatch: expected {expected} MZIs per unitary "
                 f"mesh for n={self.n}"
             )
-        _check_mesh(self.v_mesh, self.n)
-        _check_mesh(self.u_mesh, self.n)
         for name in ("v_screen", "u_screen"):
             if np.shape(getattr(self, name)) != (self.n,):
                 raise ValueError(f"{name} must hold one phase per port (n={self.n})")
-        if not np.array_equal(self.sigma_stage.row, np.arange(self.n)):
-            raise ValueError("sigma stage must hold attenuator k on row k")
+        if len(self.sigma_stage) != self.n:
+            raise ValueError(f"sigma stage needs one attenuator per port (n={self.n})")
 
     def sigma_deficit_db(self) -> float:
         """Power-budget line for the Sigma normalization: -20*log10(s_max)
@@ -157,10 +141,11 @@ class _Schedule:
     rotates rows (mode, mode+1) to null entry (mode+1, index). The mesh
     applies the rights as nulled, then every left folded through the
     diagonal, last first; ``order`` takes that application order to light
-    order, whose MZIs sit at ``column`` and ``row``. ``folds`` groups the
-    folds by column as (fold positions, their lefts' positions in ``left``,
-    modes); a column's MZIs share no waveguide, so its folds are
-    independent."""
+    order, whose MZIs sit at ``column`` and ``row`` (upper waveguide).
+    ``columns`` holds each column's slice of light order and the waveguide
+    pairs (c, 2) of its MZIs. ``folds`` groups the folds by column as (fold
+    positions, their lefts' positions in ``left``, modes); a column's MZIs
+    share no waveguide, so its folds are independent."""
 
     steps: tuple[tuple[bool, int, int], ...]
     right: np.ndarray
@@ -169,12 +154,13 @@ class _Schedule:
     order: np.ndarray
     column: np.ndarray
     row: np.ndarray
+    columns: tuple[tuple[slice, np.ndarray], ...]
 
 
 @functools.cache
 def _schedule(n: int) -> _Schedule:
     """The schedule of n, built and checked once; its arrays are read-only
-    and shared by every mesh compiled at n."""
+    and shared by everything that places the MZIs of an n-port mesh."""
     steps = []
     for i in range(n - 1):
         for j in range(i + 1):
@@ -186,22 +172,25 @@ def _schedule(n: int) -> _Schedule:
     left = np.array([k for k, step in enumerate(steps) if step[0]], dtype=int)
     modes = np.array([steps[k][1] for k in [*right, *left[::-1]]], dtype=int)
     next_col = [0] * n
-    columns = np.zeros(len(modes), dtype=int)
+    depth = np.zeros(len(modes), dtype=int)
     for k, m in enumerate(modes.tolist()):
-        columns[k] = max(next_col[m], next_col[m + 1])
-        next_col[m] = next_col[m + 1] = columns[k] + 1
-    fold_columns = columns[len(right) :]
+        depth[k] = max(next_col[m], next_col[m + 1])
+        next_col[m] = next_col[m + 1] = depth[k] + 1
+    fold_columns = depth[len(right) :]
     folds = []
     for col in np.unique(fold_columns):
         pos = np.flatnonzero(fold_columns == col)
         folds.append((pos, len(left) - 1 - pos, modes[len(right) + pos]))
     # Light order: column by column, application order within a column.
-    order = np.argsort(columns, kind="stable")
-    column, row = columns[order], modes[order]
+    order = np.argsort(depth, kind="stable")
+    column, row = depth[order], modes[order]
     _check_placements(column, row, n)
-    for a in (right, left, order, column, row, *(a for f in folds for a in f)):
+    pairs = np.stack([row, row + 1], axis=1)
+    for a in (right, left, order, column, row, pairs, *(a for f in folds for a in f)):
         a.flags.writeable = False
-    return _Schedule(tuple(steps), right, left, tuple(folds), order, column, row)
+    edges = [0, *(np.flatnonzero(np.diff(column)) + 1).tolist(), len(column)]
+    cols = tuple((slice(lo, hi), pairs[lo:hi]) for lo, hi in zip(edges, edges[1:]))
+    return _Schedule(tuple(steps), right, left, tuple(folds), order, column, row, cols)
 
 
 def _null(v: np.ndarray, steps) -> np.ndarray:
@@ -358,7 +347,7 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8):
     thetas = np.ascontiguousarray(np.minimum(thetas, math.pi).T)
     phis = np.ascontiguousarray(phis.T)
     screens = np.ascontiguousarray(np.angle(d).T)
-    meshes = [Mesh(sched.column, sched.row, t, p) for t, p in zip(thetas, phis)]
+    meshes = [Mesh(t, p) for t, p in zip(thetas, phis)]
     return (meshes[0], screens[0]) if single else (meshes, screens)
 
 
@@ -367,19 +356,20 @@ def clements_reconstruct(
 ) -> np.ndarray:
     """Lossless transfer of a mesh plus output phase screen.
 
-    Verification oracle for :func:`clements_decompose`; rejects MZIs
-    outside the n waveguides and two MZIs sharing one in a column.
+    Verification oracle for :func:`clements_decompose`; the MZIs sit where
+    the schedule of n places them, so a mesh of other than n(n-1)/2 MZIs is
+    rejected.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_mesh(mesh, n)
+    if len(mesh) != n * (n - 1) // 2:
+        raise ValueError(f"expected {n * (n - 1) // 2} MZIs for n={n}, got {len(mesh)}")
     cells = lossless_cells(mesh.theta, mesh.phi)
     m = np.eye(n, dtype=complex)
-    for col in np.unique(mesh.column):
+    for col, pairs in _schedule(n).columns:
         c = np.eye(n, dtype=complex)
-        for k in np.flatnonzero(mesh.column == col):
-            r = mesh.row[k]
-            c[r : r + 2, r : r + 2] = cells[k]
+        for cell, (r, _) in zip(cells[col], pairs.tolist()):
+            c[r : r + 2, r : r + 2] = cell
         m = c @ m
     if phase_screen is not None:
         m = np.diag(np.exp(1j * np.asarray(phase_screen))) @ m
@@ -387,8 +377,14 @@ def clements_reconstruct(
 
 
 def _attenuators(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """theta, phi (B, N) and s_max (B,) of the attenuators realizing each
-    row of s (B, N) >= 0 (see :func:`diagonal_to_attenuators`)."""
+    """theta, phi (B, N) and s_max (B,) of the per-port single-pass MZIs
+    realizing each row of s (B, N) >= 0 as a diagonal.
+
+    Normalizes by s_max = max(s); port k gets theta with lossless through
+    amplitude s_k/s_max. phi compensates the cell's intrinsic phase so the
+    through coefficient is real and positive. One input and one output of
+    each attenuator MZI are terminated.
+    """
     s_max = s.max(axis=1, initial=0.0)
     bad = np.flatnonzero(s_max == 0.0)
     if bad.size:
@@ -397,22 +393,6 @@ def _attenuators(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         )
     theta = 2.0 * np.arcsin(np.minimum(1.0, s / s_max[:, None]))
     return theta, _wrap_phi(-theta / 2.0 - math.pi / 2.0), s_max
-
-
-def diagonal_to_attenuators(s: np.ndarray) -> tuple[Mesh, float]:
-    """Realize a nonnegative diagonal as per-port single-pass MZIs.
-
-    Normalizes by s_max = max(s); port k gets theta with lossless through
-    amplitude s_k/s_max. phi compensates the cell's intrinsic phase so the
-    through coefficient is real and positive. One input and one output of
-    each attenuator MZI are terminated.
-    """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("diagonal values must be >= 0")
-    theta, phi, s_max = _attenuators(s[None])
-    mesh = Mesh(np.zeros(len(s), dtype=int), np.arange(len(s)), theta[0], phi[0])
-    return mesh, float(s_max[0])
 
 
 def compile_layers(
@@ -436,14 +416,12 @@ def compile_layers(
     u, s, vh = svd(ws)
     meshes, screens = clements_decompose(np.concatenate([u, vh]))
     theta, phi, s_max = _attenuators(s)
-    column, row = np.zeros(n, dtype=int), np.arange(n)
-    column.flags.writeable = row.flags.writeable = False
     return [
         LayerLayout(
             n=n,
             v_mesh=meshes[b + i],
             v_screen=screens[b + i],
-            sigma_stage=Mesh(column, row, theta[i], phi[i]),
+            sigma_stage=Mesh(theta[i], phi[i]),
             s_max=float(s_max[i]),
             u_mesh=meshes[i],
             u_screen=screens[i],
@@ -470,33 +448,18 @@ def compile_layer(
 
 
 # --------------------------------------------------------------------------
-# JSON round trip
+# JSON serialization
 # --------------------------------------------------------------------------
 
-def _mesh_to_dict(mesh: Mesh, role: str) -> list[dict]:
+def _mesh_to_dict(mesh: Mesh, n: int, role: str) -> list[dict]:
+    sched = _schedule(n)
     cols: dict[int, list[dict]] = {}
-    for c, r, theta, phi in zip(
-        mesh.column.tolist(), mesh.row.tolist(), mesh.theta.tolist(), mesh.phi.tolist()
-    ):
+    arrays = (sched.column, sched.row, mesh.theta, mesh.phi)
+    for c, r, theta, phi in zip(*(a.tolist() for a in arrays)):
         cols.setdefault(c, []).append(
             {"rows": [r, r + 1], "theta": theta, "phi": phi, "role": role}
         )
     return [{"placements": cols[c]} for c in sorted(cols)]
-
-
-def _mesh_from_dict(columns: list[dict], span: int) -> Mesh:
-    """Columns re-indexed in list order; each MZI spans ``span`` consecutive rows."""
-    entries = [(c, e) for c, col in enumerate(columns) for e in col["placements"]]
-    for _, e in entries:
-        rows = e["rows"]
-        if not rows or rows != list(range(rows[0], rows[0] + span)):
-            raise ValueError(f"MZI rows {rows} are not {span} consecutive waveguides")
-    return Mesh(
-        [c for c, _ in entries],
-        [e["rows"][0] for _, e in entries],
-        [e["theta"] for _, e in entries],
-        [e["phi"] for _, e in entries],
-    )
 
 
 def layout_to_json(layout: LayerLayout) -> str:
@@ -504,38 +467,23 @@ def layout_to_json(layout: LayerLayout) -> str:
     doc = {
         "n": layout.n,
         "v_mesh": {
-            "columns": _mesh_to_dict(layout.v_mesh, "unitary_V"),
+            "columns": _mesh_to_dict(layout.v_mesh, layout.n, "unitary_V"),
             "phase_screen": list(map(float, layout.v_screen)),
         },
         "sigma_stage": {
             "placements": [
                 {"rows": [r], "theta": theta, "phi": phi, "role": "diagonal"}
-                for r, theta, phi in zip(
-                    sigma.row.tolist(), sigma.theta.tolist(), sigma.phi.tolist()
+                for r, (theta, phi) in enumerate(
+                    zip(sigma.theta.tolist(), sigma.phi.tolist())
                 )
             ],
             "s_max": layout.s_max,
         },
         "u_mesh": {
-            "columns": _mesh_to_dict(layout.u_mesh, "unitary_U"),
+            "columns": _mesh_to_dict(layout.u_mesh, layout.n, "unitary_U"),
             "phase_screen": list(map(float, layout.u_screen)),
         },
         "gain_db": layout.gain_db,
         "nau_loss_db": layout.nau_loss_db,
     }
     return json.dumps(doc, indent=1)
-
-
-def layout_from_json(text: str) -> LayerLayout:
-    doc = json.loads(text)
-    return LayerLayout(
-        n=int(doc["n"]),
-        v_mesh=_mesh_from_dict(doc["v_mesh"]["columns"], 2),
-        v_screen=np.asarray(doc["v_mesh"]["phase_screen"], dtype=float),
-        sigma_stage=_mesh_from_dict([doc["sigma_stage"]], 1),
-        s_max=float(doc["sigma_stage"]["s_max"]),
-        u_mesh=_mesh_from_dict(doc["u_mesh"]["columns"], 2),
-        u_screen=np.asarray(doc["u_mesh"]["phase_screen"], dtype=float),
-        gain_db=float(doc["gain_db"]),
-        nau_loss_db=float(doc["nau_loss_db"]),
-    )

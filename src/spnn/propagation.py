@@ -34,7 +34,7 @@ from spnn.device import MziParams, crosstalk_coefficient, mzi_cells
 # Not called here: perfbench/test_perfbench.py's
 # test_shim_wraps_importers_and_restores_every_function checks it is wrapped here.
 from spnn.device import mzi_transfer  # noqa: F401
-from spnn.mesh import LayerLayout, Mesh, lossless_cells
+from spnn.mesh import LayerLayout, Mesh, _schedule, lossless_cells
 from spnn.numerics import Rng, db_to_field, dbm_to_mw
 
 __all__ = [
@@ -97,24 +97,21 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class _CellMesh:
-    """A mesh's theta and 2x2 cells (K, 2, 2) in light order and, per column,
-    its slice of that order plus the waveguide pairs (c, 2) of its MZIs,
-    which share no waveguide."""
+    """A mesh's theta and 2x2 cells (K, 2, 2) in light order and, from the
+    schedule of its port count, each column's slice of that order plus the
+    waveguide pairs (c, 2) of its MZIs, which share no waveguide."""
 
     theta: np.ndarray
     cells: np.ndarray
-    columns: list[tuple[slice, np.ndarray]]
+    columns: tuple[tuple[slice, np.ndarray], ...]
 
 
-def _cell_mesh(mesh: Mesh, p: MziParams, mode: str) -> _CellMesh:
+def _cell_mesh(mesh: Mesh, n: int, p: MziParams, mode: str) -> _CellMesh:
     if mode == "ideal":
         cells = lossless_cells(mesh.theta, mesh.phi)
     else:
         cells = mzi_cells(p, mesh.theta, mesh.phi)
-    edges = [0, *(np.flatnonzero(np.diff(mesh.column)) + 1).tolist(), len(mesh)]
-    pairs = np.stack([mesh.row, mesh.row + 1], axis=1)
-    columns = [(slice(lo, hi), pairs[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
-    return _CellMesh(mesh.theta, cells, columns)
+    return _CellMesh(mesh.theta, cells, _schedule(n).columns)
 
 
 def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
@@ -131,10 +128,10 @@ def _stages(layout: LayerLayout, p: MziParams, mode: str) -> list:
     if mode not in ("ideal", "lossy"):
         raise ValueError(f"unknown mode {mode!r}")
     return [
-        _cell_mesh(layout.v_mesh, p, mode),
+        _cell_mesh(layout.v_mesh, layout.n, p, mode),
         np.exp(1j * layout.v_screen),
         _sigma_factors(layout, p, mode),
-        _cell_mesh(layout.u_mesh, p, mode),
+        _cell_mesh(layout.u_mesh, layout.n, p, mode),
         np.exp(1j * layout.u_screen),
     ]
 
@@ -244,8 +241,8 @@ def _mapped_leaks(layers, p, rows, rng, leak_birth, launch_mw, include_gain, suf
 
 def _as_field_array(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
-    if x.shape[0] != n:
-        raise ValueError(f"field length {x.shape[0]} != port count {n}")
+    if x.ndim == 0 or x.shape[0] != n:
+        raise ValueError(f"expected a field of shape ({n},) or ({n}, S), got {x.shape}")
     return x.copy()
 
 
@@ -339,6 +336,8 @@ def monte_carlo_interference(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     amplitudes = np.asarray(amplitudes, dtype=float)
+    if not (np.isfinite(amplitudes) & (amplitudes >= 0.0)).all():
+        raise ValueError("crosstalk amplitudes must be finite and >= 0")
     k = amplitudes.size
     received = np.empty(trials)
     xtalk = np.empty(trials)

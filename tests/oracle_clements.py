@@ -17,11 +17,21 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from spnn.mesh import TWO_PI, Mesh, lossless_cells
 from spnn.numerics import is_unitary, unitarity_residual
+
+
+@dataclass(frozen=True, eq=False)
+class PlacedMesh(Mesh):
+    """An oracle mesh: the phases plus each MZI's column and upper row in
+    light order, laid out here apart from :func:`spnn.mesh._schedule`."""
+
+    column: np.ndarray
+    row: np.ndarray
 
 
 def lossless_cell(theta: float, phi: float) -> np.ndarray:
@@ -82,7 +92,9 @@ def _push_through_diagonal(
     return theta_p, phi_p, d0p, d1p
 
 
-def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarray]:
+def clements_decompose(
+    u: np.ndarray, tol: float = 1e-8
+) -> tuple[PlacedMesh, np.ndarray]:
     """Rectangular-mesh decomposition of a unitary.
 
     Returns a mesh of exactly N(N-1)/2 MZIs plus a per-port output phase
@@ -147,7 +159,8 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarr
     # Light order: column by column, application order within a column.
     order = np.argsort(columns, kind="stable")
     rows, thetas, phis = np.array(applied, dtype=float).reshape(-1, 3)[order].T
-    mesh = Mesh(columns[order], rows, np.minimum(thetas, math.pi), phis)
+    thetas = np.minimum(thetas, math.pi)
+    mesh = PlacedMesh(thetas, phis, columns[order], rows.astype(int))
     return mesh, np.angle(diag)
 
 
@@ -191,7 +204,7 @@ def _scalar_push_through_diagonal(
     return theta_p, phi_p, d0p, d1p
 
 
-def scalar_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarray]:
+def scalar_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[PlacedMesh, np.ndarray]:
     """One matrix, one Python-scalar step per MZI: each nulling rotates two
     columns or two rows of the working matrix in place."""
     u = np.asarray(u, dtype=complex)
@@ -243,5 +256,6 @@ def scalar_decompose(u: np.ndarray, tol: float = 1e-8) -> tuple[Mesh, np.ndarray
     # Light order: column by column, application order within a column.
     order = np.argsort(columns, kind="stable")
     rows, thetas, phis = np.array(applied, dtype=float).reshape(-1, 3)[order].T
-    mesh = Mesh(columns[order], rows, np.minimum(thetas, math.pi), phis)
+    thetas = np.minimum(thetas, math.pi)
+    mesh = PlacedMesh(thetas, phis, columns[order], rows.astype(int))
     return mesh, np.angle(diag)

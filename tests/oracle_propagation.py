@@ -9,10 +9,12 @@ the stage-by-stage definition of the model, so the fast engine in
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
+import oracle_clements
 from spnn.device import (
     MziParams,
     PhasePair,
@@ -34,13 +36,21 @@ def _apply_rows(arr: np.ndarray, r: int, t2: np.ndarray) -> None:
     arr[r : r + 2] = (t2 @ sub).reshape(arr[r : r + 2].shape)
 
 
-def _mesh_columns(mesh: Mesh) -> list[list[tuple[int, PhasePair]]]:
+@functools.cache
+def _placements(n: int) -> tuple[list[int], list[int]]:
+    """Column and upper row of each MZI of an n-port mesh in light order, as
+    the dense Clements oracle lays them out; they depend only on n."""
+    placed, _ = oracle_clements.clements_decompose(np.eye(n))
+    return placed.column.tolist(), placed.row.tolist()
+
+
+def _mesh_columns(mesh: Mesh, n: int) -> list[list[tuple[int, PhasePair]]]:
     """(upper row, phases) of each MZI, grouped by column, columns in
     ascending order, stored order within a column."""
     cols: dict[int, list[tuple[int, PhasePair]]] = {}
-    for j in range(len(mesh)):
+    for j, (column, row) in enumerate(zip(*_placements(n))):
         phases = PhasePair(float(mesh.theta[j]), float(mesh.phi[j]))
-        cols.setdefault(int(mesh.column[j]), []).append((int(mesh.row[j]), phases))
+        cols.setdefault(column, []).append((row, phases))
     return [cols[c] for c in sorted(cols)]
 
 
@@ -50,9 +60,9 @@ def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
     for j in range(len(sigma)):
         phases = PhasePair(float(sigma.theta[j]), float(sigma.phi[j]))
         if mode == "ideal":
-            factors[sigma.row[j]] = math.sin(phases.theta / 2.0)
+            factors[j] = math.sin(phases.theta / 2.0)
         else:
-            factors[sigma.row[j]] = mzi_transfer(p, phases)[0, 0]
+            factors[j] = mzi_transfer(p, phases)[0, 0]
     return factors
 
 
@@ -101,7 +111,7 @@ class _LayerEngine:
         """Mutates signal/leaks in place. ``spawn_slots`` is an iterator of
         column indices in ``leaks`` reserved for this layer's new leaks."""
         for block, role in ((self.layout.v_mesh, "v"), (self.layout.u_mesh, "u")):
-            for column in _mesh_columns(block):
+            for column in _mesh_columns(block, self.layout.n):
                 for r, phases in column:
                     t2 = self._cell(phases)
                     if leaks is not None and leaks.shape[1]:

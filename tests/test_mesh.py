@@ -1,7 +1,8 @@
-"""Mesh compilation tests: Clements decomposition round trips, MZI counts
-and depth, attenuator mapping, layout JSON serialization, and rejection of
-malformed layouts."""
+"""Mesh compilation tests: Clements decomposition round trips, MZI
+placements, counts and depth, attenuator mapping, layout JSON
+serialization, and rejection of malformed layouts."""
 
+import dataclasses
 import json
 import math
 
@@ -14,12 +15,12 @@ import oracle_clements as oracle
 from spnn.mesh import (
     LayerLayout,
     Mesh,
+    _check_placements,
+    _schedule,
     clements_decompose,
     clements_reconstruct,
     compile_layer,
     compile_layers,
-    diagonal_to_attenuators,
-    layout_from_json,
     layout_to_json,
     lossless_cells,
 )
@@ -56,12 +57,27 @@ def test_decompose_reconstruct_round_trip(n, make):
     assert np.max(np.abs(rebuilt - u)) < 1e-10
 
 
+def _assert_oracle_placements(want, n):
+    """The oracle's own column and row equal the schedule of n."""
+    sched = _schedule(n)
+    np.testing.assert_array_equal(want.column, sched.column)
+    np.testing.assert_array_equal(want.row, sched.row)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_placement_count_and_depth(n):
     u = random_unitary(n, Rng(100 + n))
     mesh, _ = clements_decompose(u)
-    assert len(mesh) == n * (n - 1) // 2
-    assert mesh.column.max() + 1 == (n if n > 2 else n - 1)
+    _assert_oracle_placements(oracle.clements_decompose(u)[0], n)
+    assert len(mesh) == len(_schedule(n).column) == n * (n - 1) // 2
+    assert _schedule(n).column.max() + 1 == (n if n > 2 else n - 1)
+
+
+@pytest.mark.parametrize("k, n", [(3, 4), (4, 5), (4, 3)])
+def test_reconstruct_rejects_a_mesh_of_another_port_count(k, n):
+    mesh, _ = clements_decompose(random_unitary(k, Rng(k)))
+    with pytest.raises(ValueError, match=f"expected {n * (n - 1) // 2} MZIs"):
+        clements_reconstruct(mesh, n)
 
 
 def test_phase_ranges():
@@ -73,14 +89,44 @@ def test_phase_ranges():
 
 
 def test_no_two_mzis_share_a_waveguide_in_a_column():
-    u = random_unitary(8, Rng(11))
-    mesh, _ = clements_decompose(u)
+    sched = _schedule(8)
     seen = set()
-    for col, top in zip(mesh.column.tolist(), mesh.row.tolist()):
+    for col, top in zip(sched.column.tolist(), sched.row.tolist()):
         for row in (top, top + 1):
             assert (col, row) not in seen
             seen.add((col, row))
-    assert np.all(np.diff(mesh.column) >= 0)  # light order
+    assert np.all(np.diff(sched.column) >= 0)  # light order
+    # Each column's slice of light order holds that column's waveguide pairs.
+    for c, (col, pairs) in enumerate(sched.columns):
+        assert (sched.column[col] == c).all()
+        np.testing.assert_array_equal(pairs[:, 0], sched.row[col])
+        np.testing.assert_array_equal(pairs[:, 1], sched.row[col] + 1)
+
+
+@pytest.mark.parametrize(
+    "k, r, match",
+    [
+        (0, 7, "out of range"),
+        (0, 3, "out of range"),  # waveguide 4 does not exist for n=4
+        (1, 0, "share a waveguide"),  # on the rows of column 0's first MZI
+        (1, 1, "share a waveguide"),  # [1, 2] shares waveguide 1 with [0, 1]
+    ],
+    ids=[
+        "out_of_range_row",
+        "row_past_last_waveguide",
+        "same_rows_in_column",
+        "shifted_into_neighbour",
+    ],
+)
+def test_schedule_self_check_rejects_bad_placements(k, r, match):
+    sched = _schedule(4)
+    row = sched.row.copy()
+    # Column 0 holds rows [0, 1] and [2, 3].
+    assert sched.column[:2].tolist() == [0, 0] and row[:2].tolist() == [0, 2]
+    _check_placements(sched.column, row, 4)
+    row[k] = r
+    with pytest.raises(ValueError, match=match):
+        _check_placements(sched.column, row, 4)
 
 
 @given(n=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
@@ -88,8 +134,7 @@ def test_decompose_matches_dense_oracle(n, seed):
     u = random_unitary(n, Rng(seed))
     mesh, screen = clements_decompose(u)
     want, want_screen = oracle.clements_decompose(u)
-    np.testing.assert_array_equal(mesh.column, want.column)
-    np.testing.assert_array_equal(mesh.row, want.row)
+    _assert_oracle_placements(want, n)
     np.testing.assert_allclose(mesh.theta, want.theta, rtol=0, atol=1e-9)
     # phi wraps at 2*pi, so phases are compared as phasors.
     for got, ref in ((mesh.phi, want.phi), (screen, want_screen)):
@@ -112,8 +157,7 @@ def test_stacked_decompose_matches_scalar_and_dense_oracles(n, seeds):
             (oracle.clements_decompose, 1e-9),
         ):
             want, want_screen = oracle_decompose(u)
-            np.testing.assert_array_equal(mesh.column, want.column)
-            np.testing.assert_array_equal(mesh.row, want.row)
+            _assert_oracle_placements(want, n)
             np.testing.assert_allclose(mesh.theta, want.theta, rtol=0, atol=tol)
             # phi wraps at 2*pi, so phases are compared as phasors.
             for got, ref in ((mesh.phi, want.phi), (screen, want_screen)):
@@ -125,7 +169,7 @@ def test_stacked_decompose_matches_scalar_and_dense_oracles(n, seeds):
 def _same_mesh(got: Mesh, want: Mesh) -> bool:
     return all(
         getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        for name in ("column", "row", "theta", "phi")
+        for name in ("theta", "phi")
     )
 
 
@@ -172,13 +216,14 @@ def test_stack_errors_name_the_member():
 
 
 def test_compiled_meshes_share_one_read_only_schedule_per_n():
-    a, b = compile_layers(Rng(9).standard_normal((2, 5, 5)))
-    assert a.u_mesh.column is a.v_mesh.column is b.u_mesh.column
-    assert a.u_mesh.row is b.v_mesh.row
-    alone = compile_layer(Rng(10).standard_normal((5, 5)))
-    assert alone.v_mesh.column is a.u_mesh.column
-    with pytest.raises(ValueError, match="read-only"):
-        a.u_mesh.column[0] = 3
+    # A mesh is its phases; every placement comes from the schedule of n,
+    # built once per n, whose arrays nobody can write to.
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["theta", "phi"]
+    assert _schedule(5) is _schedule(5)
+    sched = _schedule(5)
+    for a in (sched.column, sched.row, *(pairs for _, pairs in sched.columns)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 3
 
 
 def test_decompose_rejects_non_unitary():
@@ -207,13 +252,13 @@ def test_lossless_cells_on_arrays_equal_per_cell():
         assert cells[k].tobytes() == lossless_cells(theta[k], phi[k]).tobytes()
 
 
-def test_diagonal_to_attenuators_normalizes_to_unity():
+def test_sigma_stage_normalizes_to_unity():
     s = np.array([3.0, 2.0, 0.5])
-    stage, s_max = diagonal_to_attenuators(s)
-    assert s_max == pytest.approx(3.0)
-    np.testing.assert_array_equal(stage.row, np.arange(3))
-    realized = np.sin(stage.theta / 2.0)
-    np.testing.assert_allclose(sorted(realized, reverse=True), s / s_max, atol=1e-12)
+    layout = compile_layer(np.diag(s))
+    assert layout.s_max == pytest.approx(3.0)
+    assert len(layout.sigma_stage) == 3
+    realized = np.sin(layout.sigma_stage.theta / 2.0)
+    np.testing.assert_allclose(sorted(realized, reverse=True), s / 3.0, atol=1e-12)
     assert max(realized) == pytest.approx(1.0)
 
 
@@ -242,13 +287,34 @@ def test_compile_layer_rejects_non_finite_weights(bad):
 
 
 def test_layout_json_round_trip():
-    w = Rng(5).standard_normal((4, 4)) + 1j * Rng(6).standard_normal((4, 4))
-    text = layout_to_json(compile_layer(w, gain_db=12.0, nau_loss_db=0.5))
-    assert layout_to_json(layout_from_json(text)) == text
+    """Every value of the layout reads back from its JSON unchanged, each
+    MZI at the placement the schedule gives it."""
+    n = 4
+    w = Rng(5).standard_normal((n, n)) + 1j * Rng(6).standard_normal((n, n))
+    layout = compile_layer(w, gain_db=12.0, nau_loss_db=0.5)
+    doc = json.loads(layout_to_json(layout))
+    sched = _schedule(n)
+    for key, mesh in (("v_mesh", layout.v_mesh), ("u_mesh", layout.u_mesh)):
+        columns = doc[key]["columns"]
+        assert [len(c["placements"]) for c in columns] == [
+            len(pairs) for _, pairs in sched.columns
+        ]
+        entries = [e for col in columns for e in col["placements"]]
+        assert [e["rows"] for e in entries] == [[r, r + 1] for r in sched.row.tolist()]
+        assert [e["theta"] for e in entries] == mesh.theta.tolist()
+        assert [e["phi"] for e in entries] == mesh.phi.tolist()
+    sigma = doc["sigma_stage"]["placements"]
+    assert [e["rows"] for e in sigma] == [[k] for k in range(n)]
+    assert [e["theta"] for e in sigma] == layout.sigma_stage.theta.tolist()
+    assert [e["phi"] for e in sigma] == layout.sigma_stage.phi.tolist()
+    assert doc["v_mesh"]["phase_screen"] == layout.v_screen.tolist()
+    assert doc["u_mesh"]["phase_screen"] == layout.u_screen.tolist()
+    assert (doc["n"], doc["sigma_stage"]["s_max"]) == (n, layout.s_max)
+    assert (doc["gain_db"], doc["nau_loss_db"]) == (12.0, 0.5)
 
 
 def _truncated(mesh):
-    return Mesh(mesh.column[:-1], mesh.row[:-1], mesh.theta[:-1], mesh.phi[:-1])
+    return Mesh(mesh.theta[:-1], mesh.phi[:-1])
 
 
 def test_layer_layout_validates_mesh_sizes():
@@ -266,74 +332,36 @@ def test_layer_layout_validates_mesh_sizes():
         )
 
 
-def _layout_doc():
-    return json.loads(layout_to_json(compile_layer(Rng(7).standard_normal((4, 4)))))
+def _layout_fields():
+    layout = compile_layer(Rng(7).standard_normal((4, 4)))
+    return {f.name: getattr(layout, f.name) for f in dataclasses.fields(layout)}
 
 
-def _first_mzi(doc):
-    return doc["v_mesh"]["columns"][0]["placements"][0]
+def _one_phase_screen(fields):
+    fields["v_screen"] = np.array([0.3])  # one phase for four ports
 
 
-def _out_of_range_row(doc):
-    _first_mzi(doc)["rows"] = [7, 8]
+def _theta_above_pi(fields):
+    mesh = fields["v_mesh"]
+    fields["v_mesh"] = Mesh(np.r_[math.pi + 1e-6, mesh.theta[1:]], mesh.phi)
 
 
-def _row_past_last_waveguide(doc):
-    _first_mzi(doc)["rows"] = [3, 4]  # waveguide 4 does not exist for n=4
-
-
-def _same_rows_in_column(doc):
-    first, second = doc["v_mesh"]["columns"][0]["placements"][:2]
-    second["rows"] = first["rows"]
-
-
-def _shifted_into_neighbour(doc):
-    # Column 0 holds rows [0, 1] and [2, 3]; [1, 2] shares waveguide 1.
-    doc["v_mesh"]["columns"][0]["placements"][1]["rows"] = [1, 2]
-
-
-def _duplicate_sigma_row(doc):
-    doc["sigma_stage"]["placements"][3]["rows"] = [2]
-
-
-def _missing_sigma_row(doc):
-    doc["sigma_stage"]["placements"][3]["rows"] = [4]  # no attenuator on row 3
-
-
-def _rows_not_adjacent(doc):
-    _first_mzi(doc)["rows"] = [0, 3]
-
-
-def _one_phase_screen(doc):
-    doc["v_mesh"]["phase_screen"] = [0.3]  # one phase for four ports
-
-
-def _theta_above_pi(doc):
-    _first_mzi(doc)["theta"] = math.pi + 1e-6
+def _sigma_one_short(fields):
+    fields["sigma_stage"] = _truncated(fields["sigma_stage"])
 
 
 @pytest.mark.parametrize(
     "corrupt, match",
     [
-        (_out_of_range_row, "out of range"),
-        (_row_past_last_waveguide, "out of range"),
-        (_same_rows_in_column, "share a waveguide"),
-        (_shifted_into_neighbour, "share a waveguide"),
-        (_duplicate_sigma_row, "attenuator k on row k"),
-        (_missing_sigma_row, "attenuator k on row k"),
-        (_rows_not_adjacent, "consecutive"),
         (_one_phase_screen, "one phase per port"),
         (_theta_above_pi, "theta"),
+        (_sigma_one_short, "one attenuator per port"),
     ],
+    ids=["one_phase_screen", "theta_above_pi", "sigma_one_short"],
 )
-def test_layout_from_json_rejects_malformed_layouts(corrupt, match):
-    doc = _layout_doc()
-    layout_from_json(json.dumps(doc))  # the untouched document loads
-    corrupt(doc)
+def test_layer_layout_rejects_malformed_layouts(corrupt, match):
+    fields = _layout_fields()
+    LayerLayout(**fields)  # the untouched fields build
     with pytest.raises(ValueError, match=match):
-        layout_from_json(json.dumps(doc))
-
-
-def test_mesh_rejects_columns_out_of_light_order():
-    with pytest.raises(ValueError, match="non-decreasing"):
-        Mesh([1, 0], [0, 0], [0.5, 0.5], [0.0, 0.0])
+        corrupt(fields)
+        LayerLayout(**fields)

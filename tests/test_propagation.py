@@ -15,7 +15,7 @@ from spnn.device import (
     mzi_with_crosstalk,
 )
 from spnn import propagation
-from spnn.mesh import compile_layer
+from spnn.mesh import _schedule, compile_layer
 from spnn.numerics import Rng, db_to_power, dbm_to_mw, random_unitary
 from spnn.propagation import (
     NetworkSpec,
@@ -151,8 +151,7 @@ def test_nominal_leak_birth_books_x_times_launch_power():
     res = propagate_with_crosstalk(layout, p, x, rng=None, leak_birth="nominal")
     # rng=None draws the deterministic mean X, slot by slot in light order:
     # each mesh's MZIs column by column, the order a Mesh holds them in.
-    assert np.all(np.diff(layout.v_mesh.column) >= 0)
-    assert np.all(np.diff(layout.u_mesh.column) >= 0)
+    assert np.all(np.diff(_schedule(n).column) >= 0)
     thetas = np.concatenate([layout.v_mesh.theta, layout.u_mesh.theta])
     out_mw = np.sum(np.abs(res.leak_fields) ** 2, axis=0)
     assert len(thetas) == len(out_mw)
@@ -217,6 +216,27 @@ def test_monte_carlo_uniform_phase_expectation():
     )
     assert stats["received_min_mw"] == pytest.approx((a_s - a_x) ** 2, abs=2e-4)
     assert stats["xtalk_aligned_mw"] == pytest.approx(a_x**2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_monte_carlo_rejects_non_finite_or_negative_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        monte_carlo_interference(np.array([0.2, bad]), 0.7, trials=10, rng=Rng(3))
+
+
+def test_field_inputs_of_the_wrong_shape_name_the_expected_shape():
+    n = 4
+    layout = compile_layer(Rng(14).standard_normal((n, n)))
+    spec = NetworkSpec([layout], P)
+    calls = (
+        lambda x: propagate_signal(layout, P, x),
+        lambda x: propagate_with_crosstalk(layout, P, x),
+        lambda x: network_cascade(spec, x),
+    )
+    for call in calls:
+        for x in (1.0, np.ones(n + 1)):
+            with pytest.raises(ValueError, match=r"expected a field of shape \(4,\)"):
+                call(x)
 
 
 def test_resolve_crosstalk_fields_reproducible_and_power_scale():
