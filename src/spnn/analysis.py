@@ -554,24 +554,24 @@ def accuracy_eval(
     return _evaluate(_compiled(model), model, dataset, p, rng if crosstalk else None)
 
 
-def _compiled(model: ComplexMlp) -> list[tuple[LayerLayout, float]]:
-    """Each layer's layout and s_max. Compiling draws no random numbers, so
-    a sweep compiles once and evaluates every point on the result."""
-    return [(compile_layer(w), _layer_smax(w)) for w in model.weights]
+def _compiled(model: ComplexMlp) -> list[LayerLayout]:
+    """Each layer's layout. Compiling draws no random numbers, so a sweep
+    compiles once and evaluates every point on the result."""
+    return [compile_layer(w) for w in model.weights]
 
 
 def _evaluate(compiled, model, dataset, p, rng=None) -> AccuracyResult:
     """:func:`accuracy_eval` on layers from :func:`_compiled`, with
     crosstalk when ``rng`` is given."""
     a = dataset.features.T.copy()  # (n, samples)
-    for k, (layout, s_max) in enumerate(compiled):
+    for k, layout in enumerate(compiled):
         if rng is not None:
             res = propagate_with_crosstalk(layout, p, a, rng=rng, leak_birth="nominal")
             out = resolve_crosstalk_fields(res, rng)
             del res  # free this bank before the next layer's pass
         else:
             out = propagate_signal(layout, p, a, mode="lossy")
-        out = out * s_max
+        out = out * layout.s_max
         a = model.activation(out) if k < len(compiled) - 1 else out
     pred = np.argmax(np.abs(a) ** 2, axis=0)
     acc = 100.0 * float(np.mean(pred == dataset.labels))

@@ -47,6 +47,8 @@ class ExperimentConfig:
     # Network shape and system-level budget.
     n: int = 8
     m: int = 2
+    # gain_db and nau_loss_db reach only compile's layout.json; the
+    # network statistics and power penalty use the layout defaults.
     gain_db: float = 17.0
     nau_loss_db: float = 1.0
     launch_power_dbm: float = 0.0

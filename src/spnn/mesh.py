@@ -251,38 +251,25 @@ def _null(v: np.ndarray, steps) -> np.ndarray:
     return pairs
 
 
-def _fold(phases: np.ndarray, d: np.ndarray, folds) -> tuple[np.ndarray, np.ndarray]:
+def _fold(theta, phi, d: np.ndarray, folds) -> np.ndarray:
     """Rewrite each left factor's inverse T(theta, phi)^{-1} @ diag(d0, d1)
-    as diag(d0', d1') @ T(theta', phi'), last left first, column by column.
-    ``phases`` holds the left cells' (theta, phi) as (2, L, B); ``d`` (N, B)
-    is updated in place. Returns theta' and e^{j phi'} (L, B) by fold
-    position. Where sin or cos(theta'/2) is below 1e-12 (bar- or cross-like)
-    phi' is 0 and d0', d1' come from the surviving entries."""
-    tc = lossless_cells(*phases).conj()
-    theta = np.empty(phases.shape[1:])
-    ephi = np.empty(phases.shape[1:], dtype=complex)
-    eps = 1e-12
+    as diag(d0', d1') @ T(theta, phi'), last left first, column by column.
+    The push-through keeps theta (Clements et al., Optica 3, 1460, 2016);
+    with r = -e^{-j theta}: e^{j phi'} = d0/d1, d0' = r e^{-j phi} d1 and
+    d1' = r d1. Where sin or cos(theta/2) is at most 1e-12 (bar- or
+    cross-like) phi' is 0, and d1' (bar-like) or d0' (cross-like) takes d0
+    in place of d1. ``theta``, ``phi`` (L, B) are the lefts'; ``d`` (N, B)
+    is updated in place. Returns e^{j phi'} (L, B) by fold position."""
+    r_phi = -np.exp(-1j * (theta + phi))
+    r = -np.exp(-1j * theta)
+    bar, cross = np.sin(theta / 2.0) <= 1e-12, np.cos(theta / 2.0) <= 1e-12
+    ephi = np.empty(theta.shape, dtype=complex)
     for pos, lefts, ms in folds:
-        t = tc[lefts]
         d0, d1 = d[ms], d[ms + 1]
-        # x = T^H @ diag(d0, d1)
-        x00, x01 = t[..., 0, 0] * d0, t[..., 1, 0] * d1
-        x10, x11 = t[..., 0, 1] * d0, t[..., 1, 1] * d1
-        half = np.arctan2(np.abs(x00), np.abs(x01))
-        h = np.exp(1j * half)
-        c, s = h.real, h.imag
-        base = 1j * h
-        bc, bs = base * c, base * s
-        general = (c > eps) & (s > eps)
-        bar = s <= eps
-        d0p = x01 / bc
-        e = x00 / (d0p * base * s)
-        d1p = x10 / (bc * e)
-        d[ms] = np.where(general, d0p, np.where(bar, x01 / base, x00 / bs))
-        d[ms + 1] = np.where(general, d1p, np.where(bar, x10 / base, -x11 / bs))
-        theta[pos] = 2.0 * half
-        ephi[pos] = np.where(general, e, 1.0)
-    return theta, ephi
+        ephi[pos] = np.where(bar[lefts] | cross[lefts], 1.0, d0 / d1)
+        d[ms] = r_phi[lefts] * np.where(cross[lefts], d0, d1)
+        d[ms + 1] = r[lefts] * np.where(bar[lefts], d0, d1)
+    return ephi
 
 
 def clements_decompose(u: np.ndarray, tol: float = 1e-8):
@@ -316,8 +303,8 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8):
 
     sched = _schedule(n)
     v = np.moveaxis(us, 0, -1).copy()  # (N, N, B): each step's slices are (N, B)
-    # Zero amplitudes and degenerate folds divide by zero in the branches
-    # their masks discard.
+    # Zero amplitudes divide by zero in the nulling branches their masks
+    # discard.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pairs = _null(v, sched.steps)
         d = np.diagonal(v).T.copy()  # (N, B)
@@ -339,10 +326,9 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8):
         # U = L1^-1 ... Lp^-1 D Rq ... R1; fold each left inverse through
         # the diagonal, last first, so everything becomes screen @ (ordinary
         # MZI factors) and the folded factors apply after the rights.
-        left_phases = np.stack([theta[sched.left], phi[sched.left]])
-        fold_theta, fold_ephi = _fold(left_phases, d, sched.folds)
+        fold_ephi = _fold(theta[sched.left], phi[sched.left], d, sched.folds)
     right = sched.right
-    thetas = np.concatenate([theta[right], fold_theta])[sched.order]
+    thetas = np.concatenate([theta[right], theta[sched.left[::-1]]])[sched.order]
     phis = np.concatenate([phi[right], _wrap_phi(np.angle(fold_ephi))])[sched.order]
     thetas = np.ascontiguousarray(np.minimum(thetas, math.pi).T)
     phis = np.ascontiguousarray(phis.T)

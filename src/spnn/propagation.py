@@ -25,6 +25,7 @@ phases are drawn only where leaks are resolved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from spnn.device import MziParams, crosstalk_coefficient, mzi_cells
 # Not called here: perfbench/test_perfbench.py's
 # test_shim_wraps_importers_and_restores_every_function checks it is wrapped here.
 from spnn.device import mzi_transfer  # noqa: F401
-from spnn.mesh import LayerLayout, Mesh, _schedule, lossless_cells
+from spnn.mesh import LayerLayout, _schedule, lossless_cells
 from spnn.numerics import Rng, db_to_field, dbm_to_mw
 
 __all__ = [
@@ -95,50 +96,29 @@ class NetworkSpec:
 # Core engine
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CellMesh:
-    """A mesh's theta and 2x2 cells (K, 2, 2) in light order and, from the
-    schedule of its port count, each column's slice of that order plus the
-    waveguide pairs (c, 2) of its MZIs, which share no waveguide."""
-
-    theta: np.ndarray
-    cells: np.ndarray
-    columns: tuple[tuple[slice, np.ndarray], ...]
-
-
-def _cell_mesh(mesh: Mesh, n: int, p: MziParams, mode: str) -> _CellMesh:
-    if mode == "ideal":
-        cells = lossless_cells(mesh.theta, mesh.phi)
-    else:
-        cells = mzi_cells(p, mesh.theta, mesh.phi)
-    return _CellMesh(mesh.theta, cells, _schedule(n).columns)
-
-
-def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
-    """Through-field factor of each port's attenuator, in port order."""
+def _stages(layout: LayerLayout, p: MziParams, mode: str, gain: bool) -> list:
+    """One layer in light order as two stages (theta, cells, factors): the
+    V^H mesh, then its phase screen and each port's Sigma through-field; the
+    U mesh, then its phase screen and, with ``gain``, the layer's OGU gain
+    and NAU loss. A factor scales the rows per port (N, 1) or as a whole."""
     sigma = layout.sigma_stage
     if mode == "ideal":
-        return np.array([math.sin(t / 2.0) for t in sigma.theta.tolist()], complex)
-    return mzi_cells(p, sigma.theta, sigma.phi)[:, 0, 0]
-
-
-def _stages(layout: LayerLayout, p: MziParams, mode: str) -> list:
-    """One layer in light order. A stage is a :class:`_CellMesh` or a
-    per-port field factor (phase screen or Sigma attenuators)."""
-    if mode not in ("ideal", "lossy"):
+        cells = lossless_cells
+        through = np.array([math.sin(t / 2.0) for t in sigma.theta.tolist()], complex)
+    elif mode == "lossy":
+        cells = functools.partial(mzi_cells, p)
+        through = mzi_cells(p, sigma.theta, sigma.phi)[:, 0, 0]
+    else:
         raise ValueError(f"unknown mode {mode!r}")
+    v, u = layout.v_mesh, layout.u_mesh
+    v_factors = [np.exp(1j * layout.v_screen)[:, None], through[:, None]]
+    u_factors = [np.exp(1j * layout.u_screen)[:, None]]
+    if gain:
+        u_factors.append(db_to_field(layout.nau_loss_db - layout.gain_db))
     return [
-        _cell_mesh(layout.v_mesh, layout.n, p, mode),
-        np.exp(1j * layout.v_screen),
-        _sigma_factors(layout, p, mode),
-        _cell_mesh(layout.u_mesh, layout.n, p, mode),
-        np.exp(1j * layout.u_screen),
+        (v.theta, cells(v.theta, v.phi), v_factors),
+        (u.theta, cells(u.theta, u.phi), u_factors),
     ]
-
-
-def _gain(layout: LayerLayout) -> float:
-    """Field factor of the layer's OGU gain and NAU loss."""
-    return db_to_field(layout.nau_loss_db - layout.gain_db)
 
 
 def _signal_pass(
@@ -147,13 +127,13 @@ def _signal_pass(
     """Crosstalk-free propagation without gain; mutates ``signal`` (N, ...)
     in place."""
     rows = signal.reshape(signal.shape[0], -1)
+    columns = _schedule(layers[0].n).columns
     for layout in layers:
-        for stage in _stages(layout, p, mode):
-            if not isinstance(stage, _CellMesh):
-                rows *= stage[:, None]
-                continue
-            for col, pairs in stage.columns:
-                rows[pairs] = stage.cells[col] @ rows[pairs]
+        for _, cells, factors in _stages(layout, p, mode, gain=False):
+            for col, pairs in columns:
+                rows[pairs] = cells[col] @ rows[pairs]
+            for f in factors:
+                rows *= f
     return signal
 
 
@@ -192,51 +172,46 @@ def _mapped_leaks(layers, p, rows, rng, leak_birth, launch_mw, include_gain, suf
     mesh column, its slice of the K leak slots and its leaks mapped to the
     output, a (c, N, B) complex temporary. Both passes take one mesh column
     per step."""
-    stages = [_stages(layout, p, "lossy") for layout in layers]
-    k_total = sum(len(lay.v_mesh) + len(lay.u_mesh) for lay in layers)
+    stages = [
+        stage for lay in layers for stage in _stages(lay, p, "lossy", include_gain)
+    ]
+    columns = _schedule(layers[0].n).columns
+    k_total = sum(len(theta) for theta, _, _ in stages)
     born = np.empty((k_total, 2, rows.shape[1]), dtype=complex)
 
     slot = 0
-    for layout, layer in zip(layers, stages):
-        for stage in layer:
-            if not isinstance(stage, _CellMesh):
-                rows *= stage[:, None]
-                continue
-            x_lin = 10.0 ** (crosstalk_coefficient(p, stage.theta, rng) / 10.0)
-            for col, pairs in stage.columns:
-                routed = stage.cells[col] @ rows[pairs]
-                x = x_lin[col, None, None]
-                rows[pairs] = np.sqrt(1.0 - x) * routed
-                leak = np.sqrt(x) * routed[:, ::-1]
-                if leak_birth == "nominal":
-                    # Power-budget ledger: every leak is booked at X times
-                    # the nominal launch power, regardless of how much the
-                    # local signal has already been attenuated. The
-                    # physical leak direction is kept.
-                    power = np.sum(np.abs(leak) ** 2, axis=1, keepdims=True)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        scale = np.sqrt(x * launch_mw / power)
-                    leak *= np.where(power > 0.0, scale, 0.0)
-                born[slot + col.start : slot + col.stop] = leak
-            slot += len(stage.theta)
-        if include_gain:
-            rows *= _gain(layout)
+    for theta, cells, factors in stages:
+        x_lin = 10.0 ** (crosstalk_coefficient(p, theta, rng) / 10.0)
+        for col, pairs in columns:
+            routed = cells[col] @ rows[pairs]
+            x = x_lin[col, None, None]
+            rows[pairs] = np.sqrt(1.0 - x) * routed
+            leak = np.sqrt(x) * routed[:, ::-1]
+            if leak_birth == "nominal":
+                # Power-budget ledger: every leak is booked at X times the
+                # nominal launch power, regardless of how much the local
+                # signal has already been attenuated. The physical leak
+                # direction is kept.
+                power = np.sum(np.abs(leak) ** 2, axis=1, keepdims=True)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    scale = np.sqrt(x * launch_mw / power)
+                leak *= np.where(power > 0.0, scale, 0.0)
+            born[slot + col.start : slot + col.stop] = leak
+        slot += len(theta)
+        for f in factors:
+            rows *= f
 
     # suffix_t is the transpose of the transfer S from the current point to
     # the output, leaks excluded: row i of suffix_t is column i of S.
-    for layout, layer in zip(reversed(layers), reversed(stages)):
-        if include_gain:
-            suffix_t *= _gain(layout)
-        for stage in reversed(layer):
-            if not isinstance(stage, _CellMesh):
-                suffix_t *= stage[:, None]
-                continue
-            slot -= len(stage.theta)
-            for col, pairs in reversed(stage.columns):
-                slots = slice(slot + col.start, slot + col.stop)
-                pair = suffix_t[pairs]
-                yield slots, pair.transpose(0, 2, 1) @ born[slots]
-                suffix_t[pairs] = stage.cells[col].transpose(0, 2, 1) @ pair
+    for theta, cells, factors in reversed(stages):
+        for f in reversed(factors):
+            suffix_t *= f
+        slot -= len(theta)
+        for col, pairs in reversed(columns):
+            slots = slice(slot + col.start, slot + col.stop)
+            pair = suffix_t[pairs]
+            yield slots, pair.transpose(0, 2, 1) @ born[slots]
+            suffix_t[pairs] = cells[col].transpose(0, 2, 1) @ pair
 
 
 def _as_field_array(x, n: int) -> np.ndarray:
@@ -338,6 +313,8 @@ def monte_carlo_interference(
     amplitudes = np.asarray(amplitudes, dtype=float)
     if not (np.isfinite(amplitudes) & (amplitudes >= 0.0)).all():
         raise ValueError("crosstalk amplitudes must be finite and >= 0")
+    if not (math.isfinite(signal_amplitude) and signal_amplitude >= 0.0):
+        raise ValueError("signal amplitude must be finite and >= 0")
     k = amplitudes.size
     received = np.empty(trials)
     xtalk = np.empty(trials)

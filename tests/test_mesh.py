@@ -178,7 +178,8 @@ def test_degenerate_members_take_their_branches_per_element(n):
     """Permutations and diagonals, stacked between random unitaries, reach
     the bar- and cross-like folds and the zero-amplitude nullings while
     their neighbours take the general branches. Every member decomposes
-    exactly as it does alone."""
+    exactly as it does alone, and as the scalar oracle folds it (phi' = 0
+    on a bar- or cross-like fold)."""
     kinds = [_random(n), *(make(n) for make in _DEGENERATE.values())]
     us = np.array(kinds + [random_unitary(n, Rng(50 + n))] + kinds[::-1])
     meshes, screens = clements_decompose(us)
@@ -186,6 +187,12 @@ def test_degenerate_members_take_their_branches_per_element(n):
         alone, alone_screen = clements_decompose(u)
         assert _same_mesh(mesh, alone)
         assert screen.tobytes() == alone_screen.tobytes()
+        want, want_screen = oracle.scalar_decompose(u)
+        np.testing.assert_allclose(mesh.theta, want.theta, rtol=0, atol=1e-12)
+        for got, ref in ((mesh.phi, want.phi), (screen, want_screen)):
+            np.testing.assert_allclose(
+                np.exp(1j * got), np.exp(1j * ref), rtol=0, atol=1e-12
+            )
         rebuilt = clements_reconstruct(mesh, n, screen)
         assert np.max(np.abs(rebuilt - u)) < 1e-9
 

@@ -222,6 +222,8 @@ def test_monte_carlo_uniform_phase_expectation():
 def test_monte_carlo_rejects_non_finite_or_negative_amplitudes(bad):
     with pytest.raises(ValueError, match="finite and >= 0"):
         monte_carlo_interference(np.array([0.2, bad]), 0.7, trials=10, rng=Rng(3))
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        monte_carlo_interference(np.array([0.1, 0.2]), bad, trials=10, rng=Rng(3))
 
 
 def test_field_inputs_of_the_wrong_shape_name_the_expected_shape():
