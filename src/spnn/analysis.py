@@ -132,6 +132,8 @@ def params_with_alphas(
     """
     base = base if base is not None else MziParams()
     length_cm = base.l_mzi_um * 1e-4
+    if length_cm <= 0.0:
+        raise ValueError("a loss study needs l_mzi_um > 0")
     return replace(
         base,
         alpha_l_db=alpha_l_db,
@@ -582,28 +584,30 @@ def _layer_smax(w: np.ndarray) -> float:
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
-def _one_axis_params(which: str, value: float) -> MziParams:
-    """Device parameters with loss axis ``which`` at ``value`` dB and the
+def _one_axis_params(p: MziParams, which: str, value: float) -> MziParams:
+    """The device ``p`` with loss axis ``which`` at ``value`` dB and the
     other two at 0 dB."""
     alphas = dict.fromkeys(EXPECTED_ALPHA_RANGES, 0.0)
     alphas[which] = float(value)
-    return params_with_alphas(**alphas)
+    return params_with_alphas(**alphas, base=p)
 
 
 def loss_sweep(
     model: ComplexMlp,
     dataset: FeatureDataset,
+    p: MziParams,
     which: str,
     grid,
 ) -> list[AccuracyResult]:
-    """Accuracy along one loss axis, the other two at 0 dB, crosstalk off."""
+    """Accuracy on the device ``p`` along one loss axis, the other two at
+    0 dB, crosstalk off."""
     if which not in EXPECTED_ALPHA_RANGES:
         raise ValueError(
             f"unknown loss axis {which!r}; options {sorted(EXPECTED_ALPHA_RANGES)}"
         )
     compiled = _compiled(model)
     return [
-        _evaluate(compiled, model, dataset, _one_axis_params(which, value))
+        _evaluate(compiled, model, dataset, _one_axis_params(p, which, value))
         for value in grid
     ]
 
@@ -611,10 +615,12 @@ def loss_sweep(
 def joint_loss_sample(
     model: ComplexMlp,
     dataset: FeatureDataset,
+    p: MziParams,
     n_instances: int,
     rng: Rng,
 ) -> list[tuple[float, float, float, float]]:
-    """Sample loss triples from per-axis half-normals and evaluate accuracy.
+    """Sample loss triples from per-axis half-normals and evaluate accuracy
+    on the device ``p`` with those losses.
 
     Each axis draws ``lo + |N(0, sigma)|`` with ``lo`` the expected minimum
     and ``3 sigma`` at the expected maximum. Returns (alpha_l, alpha_m,
@@ -628,8 +634,8 @@ def joint_loss_sample(
         draws = {}
         for key, (lo, hi) in EXPECTED_ALPHA_RANGES.items():
             draws[key] = float(rng.half_normal(lo, hi / 3.0))
-        p = params_with_alphas(**draws)
-        acc = _evaluate(compiled, model, dataset, p).accuracy_pct
+        q = params_with_alphas(**draws, base=p)
+        acc = _evaluate(compiled, model, dataset, q).accuracy_pct
         rows.append((*draws.values(), acc))  # EXPECTED_ALPHA_RANGES order
     return rows
 
@@ -637,29 +643,30 @@ def joint_loss_sample(
 def tolerance_search(
     model: ComplexMlp,
     dataset: FeatureDataset,
+    p: MziParams,
     max_drop_pct: float,
 ) -> dict:
-    """Largest single-axis loss keeping accuracy within ``max_drop_pct`` of
-    the zero-loss accuracy (other axes at 0, crosstalk off): 4x the
-    expected maximum if accuracy still passes there, else 18 bisection
-    steps over [0, 4x the expected maximum]."""
+    """Largest single-axis loss on the device ``p`` keeping accuracy within
+    ``max_drop_pct`` of its zero-loss accuracy (other axes at 0, crosstalk
+    off): 4x the expected maximum if accuracy still passes there, else 18
+    bisection steps over [0, 4x the expected maximum]."""
     if max_drop_pct <= 0:
         raise ValueError("max_drop_pct must be > 0")
     compiled = _compiled(model)
 
-    def accuracy(p: MziParams) -> float:
-        return _evaluate(compiled, model, dataset, p).accuracy_pct
+    def accuracy(q: MziParams) -> float:
+        return _evaluate(compiled, model, dataset, q).accuracy_pct
 
-    floor = accuracy(params_with_alphas(0.0, 0.0, 0.0)) - max_drop_pct
+    floor = accuracy(params_with_alphas(0.0, 0.0, 0.0, base=p)) - max_drop_pct
     out = {}
     for key, (_, hi) in EXPECTED_ALPHA_RANGES.items():
         ok, bad = 0.0, 4.0 * hi
-        if accuracy(_one_axis_params(key, bad)) >= floor:
+        if accuracy(_one_axis_params(p, key, bad)) >= floor:
             out[key] = bad
             continue
         for _ in range(18):
             mid = 0.5 * (ok + bad)
-            if accuracy(_one_axis_params(key, mid)) >= floor:
+            if accuracy(_one_axis_params(p, key, mid)) >= floor:
                 ok = mid
             else:
                 bad = mid
@@ -670,16 +677,18 @@ def tolerance_search(
 def crosstalk_grid(
     model: ComplexMlp,
     dataset: FeatureDataset,
+    p: MziParams,
     xb_grid,
     xc_grid,
     rng: Rng,
 ) -> np.ndarray:
-    """Accuracy matrix over (X_B, X_C) pairs with losses at expected minima.
+    """Accuracy matrix over (X_B, X_C) pairs on the device ``p`` with losses
+    at expected minima.
 
     Cells violating the X_B <= X_C ordering are skipped (NaN).
     """
     base = params_with_alphas(
-        **{k: lo for k, (lo, _) in EXPECTED_ALPHA_RANGES.items()}
+        **{k: lo for k, (lo, _) in EXPECTED_ALPHA_RANGES.items()}, base=p
     )
     compiled = _compiled(model)
     grid = np.full((len(xb_grid), len(xc_grid)), np.nan)
@@ -687,7 +696,7 @@ def crosstalk_grid(
         for j, xc in enumerate(xc_grid):
             if xb > xc:
                 continue
-            p = replace(base, xb_db=float(xb), xc_db=float(xc))
-            cell = _evaluate(compiled, model, dataset, p, rng.spawn(i, j))
+            q = replace(base, xb_db=float(xb), xc_db=float(xc))
+            cell = _evaluate(compiled, model, dataset, q, rng.spawn(i, j))
             grid[i, j] = cell.accuracy_pct
     return grid

@@ -151,7 +151,7 @@ def _trained_model(cfg: ExperimentConfig, train_set: FeatureDataset) -> ComplexM
 
 
 def _load_weight_matrix(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.weight_source == "file":
+    if cfg.weight_file:
         with open(cfg.weight_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         real = np.array(doc["real"], dtype=float)
@@ -218,7 +218,8 @@ def _cmd_network_stats(cfg, out_dir):
             )
             rows.append(
                 [int(n), int(m), st.il_avg_db, st.il_worst_db,
-                 st.xp_avg_dbm, st.xp_worst_dbm]
+                 cfg.launch_power_dbm + st.xp_avg_dbm,
+                 cfg.launch_power_dbm + st.xp_worst_dbm]
             )
     return (
         ["n", "m", "il_avg_db", "il_worst_db", "xp_avg_dbm", "xp_worst_dbm"],
@@ -245,7 +246,7 @@ def _cmd_power_penalty(cfg, out_dir):
 
 def _cmd_compile(cfg, out_dir):
     w = _load_weight_matrix(cfg)
-    layout = compile_layer(w, gain_db=cfg.gain_db, nau_loss_db=cfg.nau_loss_db)
+    layout = compile_layer(w)
     layout_path = os.path.join(out_dir, "layout.json")
     with open(layout_path, "w", encoding="utf-8") as fh:
         fh.write(layout_to_json(layout))
@@ -295,7 +296,7 @@ def _cmd_loss_sweep(cfg, out_dir):
     train_set, eval_set = _split_dataset(cfg)
     model = _trained_model(cfg, train_set)
     grid = np.linspace(0.0, cfg.sweep_max_db, cfg.sweep_points)
-    results = loss_sweep(model, eval_set, cfg.sweep_axis, grid)
+    results = loss_sweep(model, eval_set, cfg.mzi_params(), cfg.sweep_axis, grid)
     rows = [
         [cfg.sweep_axis, float(v), r.accuracy_pct]
         for v, r in zip(grid, results)
@@ -307,7 +308,7 @@ def _cmd_joint_sample(cfg, out_dir):
     train_set, eval_set = _split_dataset(cfg)
     model = _trained_model(cfg, train_set)
     rows = joint_loss_sample(
-        model, eval_set, cfg.n_instances, Rng(cfg.seed).spawn(4)
+        model, eval_set, cfg.mzi_params(), cfg.n_instances, Rng(cfg.seed).spawn(4)
     )
     return (
         ["alpha_l_db", "alpha_m_db", "alpha_prop_db", "accuracy_pct"],
@@ -318,7 +319,7 @@ def _cmd_joint_sample(cfg, out_dir):
 def _cmd_tolerance(cfg, out_dir):
     train_set, eval_set = _split_dataset(cfg)
     model = _trained_model(cfg, train_set)
-    limits = tolerance_search(model, eval_set, cfg.max_drop_pct)
+    limits = tolerance_search(model, eval_set, cfg.mzi_params(), cfg.max_drop_pct)
     rows = [[axis, limits[axis]] for axis in sorted(limits)]
     return ["axis", "max_alpha_db"], rows
 
@@ -327,7 +328,8 @@ def _cmd_xtalk_grid(cfg, out_dir):
     train_set, eval_set = _split_dataset(cfg)
     model = _trained_model(cfg, train_set)
     grid = crosstalk_grid(
-        model, eval_set, cfg.xb_grid, cfg.xc_grid, Rng(cfg.seed).spawn(5)
+        model, eval_set, cfg.mzi_params(), cfg.xb_grid, cfg.xc_grid,
+        Rng(cfg.seed).spawn(5),
     )
     rows = []
     for i, xb in enumerate(cfg.xb_grid):

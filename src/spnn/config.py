@@ -2,11 +2,11 @@
 
 Every field has a default drawn from the reference fabrication parameters
 (3-dB couplers, 0.1/0.2 dB coupler/absorption losses, 2 dB/cm propagation,
--25/-18 dB bar/cross crosstalk, 17 dB amplifier gain, 1 dB activation-unit
-loss, 0 dBm launch, -11.7 dBm detector sensitivity). Unknown keys are
-rejected rather than ignored so a typo can never silently fall back to a
-default, and the fully resolved configuration is re-emitted next to every
-experiment's outputs so a run is reproducible from its artifacts alone.
+-25/-18 dB bar/cross crosstalk, 0 dBm launch, -11.7 dBm detector
+sensitivity). Unknown keys are rejected rather than ignored so a typo can
+never silently fall back to a default, and the fully resolved configuration
+is re-emitted next to every experiment's outputs so a run is reproducible
+from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -44,13 +44,11 @@ class ExperimentConfig:
     xb_db: float = -25.0
     xc_db: float = -18.0
     xtalk_sigma_frac: float = 0.05
-    # Network shape and system-level budget.
+    # Network shape and system-level budget. The per-layer gain and NAU
+    # loss are spnn.propagation constants. launch_power_dbm offsets the
+    # crosstalk columns of device-sweep, layer-stats and network-stats.
     n: int = 8
     m: int = 2
-    # gain_db and nau_loss_db reach only compile's layout.json; the
-    # network statistics and power penalty use the layout defaults.
-    gain_db: float = 17.0
-    nau_loss_db: float = 1.0
     launch_power_dbm: float = 0.0
     sensitivity_dbm: float = -11.7
     # Scaling-study grids (network-stats / power-penalty).
@@ -62,8 +60,7 @@ class ExperimentConfig:
     # Reproducibility and artifacts.
     seed: int = 123
     out_dir: str = ""
-    # Weight source: a fresh random matrix per trial, or a layout file.
-    weight_source: str = "random"
+    # compile's weights: this JSON file when set, else a seeded random matrix.
     weight_file: str = ""
     model_file: str = ""
     # Dataset: IDX pair when both paths are set, else the packaged
@@ -128,13 +125,6 @@ class ExperimentConfig:
             raise ValueError("max_drop_pct must be > 0")
         if self.sweep_max_db <= 0:
             raise ValueError("sweep_max_db must be > 0")
-        if self.weight_source not in ("random", "file"):
-            raise ValueError(
-                f"weight_source must be 'random' or 'file', got "
-                f"{self.weight_source!r}"
-            )
-        if self.weight_source == "file" and not self.weight_file:
-            raise ValueError("weight_source 'file' needs weight_file")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

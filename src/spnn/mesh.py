@@ -89,8 +89,6 @@ class LayerLayout:
     s_max: float
     u_mesh: Mesh
     u_screen: np.ndarray
-    gain_db: float = 17.0
-    nau_loss_db: float = 1.0
 
     def __post_init__(self):
         expected = self.n * (self.n - 1) // 2
@@ -381,9 +379,7 @@ def _attenuators(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, _wrap_phi(-theta / 2.0 - math.pi / 2.0), s_max
 
 
-def compile_layers(
-    ws: np.ndarray, gain_db: float = 17.0, nau_loss_db: float = 1.0
-) -> list[LayerLayout]:
+def compile_layers(ws: np.ndarray) -> list[LayerLayout]:
     """SVD + Clements compilation of a stack (B, N, N) of square weight
     matrices: one stacked SVD, then one decomposition loop over all 2B
     unitaries. Returns one layout per matrix, equal to what the matrix
@@ -411,16 +407,12 @@ def compile_layers(
             s_max=float(s_max[i]),
             u_mesh=meshes[i],
             u_screen=screens[i],
-            gain_db=gain_db,
-            nau_loss_db=nau_loss_db,
         )
         for i in range(b)
     ]
 
 
-def compile_layer(
-    w: np.ndarray, gain_db: float = 17.0, nau_loss_db: float = 1.0
-) -> LayerLayout:
+def compile_layer(w: np.ndarray) -> LayerLayout:
     """SVD + Clements compilation of a square weight matrix: a stack of one
     through :func:`compile_layers`.
 
@@ -430,7 +422,7 @@ def compile_layer(
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"compile_layer expects a square matrix, got {w.shape}")
-    return compile_layers(w[None], gain_db, nau_loss_db)[0]
+    return compile_layers(w[None])[0]
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +461,5 @@ def layout_to_json(layout: LayerLayout) -> str:
             "columns": _mesh_to_dict(layout.u_mesh, layout.n, "unitary_U"),
             "phase_screen": list(map(float, layout.u_screen)),
         },
-        "gain_db": layout.gain_db,
-        "nau_loss_db": layout.nau_loss_db,
     }
     return json.dumps(doc, indent=1)

@@ -39,6 +39,8 @@ from spnn.mesh import LayerLayout, _schedule, lossless_cells
 from spnn.numerics import Rng, db_to_field, dbm_to_mw
 
 __all__ = [
+    "GAIN_DB",
+    "NAU_LOSS_DB",
     "PropagationResult",
     "NetworkSpec",
     "propagate_signal",
@@ -48,6 +50,10 @@ __all__ = [
     "monte_carlo_interference",
     "resolve_crosstalk_fields",
 ]
+
+# Every network layer's optical gain unit and nonlinear activation unit.
+GAIN_DB = 17.0
+NAU_LOSS_DB = 1.0
 
 
 @dataclass
@@ -99,8 +105,9 @@ class NetworkSpec:
 def _stages(layout: LayerLayout, p: MziParams, mode: str, gain: bool) -> list:
     """One layer in light order as two stages (theta, cells, factors): the
     V^H mesh, then its phase screen and each port's Sigma through-field; the
-    U mesh, then its phase screen and, with ``gain``, the layer's OGU gain
-    and NAU loss. A factor scales the rows per port (N, 1) or as a whole."""
+    U mesh, then its phase screen and, with ``gain``, the OGU gain GAIN_DB
+    and NAU loss NAU_LOSS_DB. A factor scales the rows per port (N, 1) or
+    as a whole."""
     sigma = layout.sigma_stage
     if mode == "ideal":
         cells = lossless_cells
@@ -114,7 +121,7 @@ def _stages(layout: LayerLayout, p: MziParams, mode: str, gain: bool) -> list:
     v_factors = [np.exp(1j * layout.v_screen)[:, None], through[:, None]]
     u_factors = [np.exp(1j * layout.u_screen)[:, None]]
     if gain:
-        u_factors.append(db_to_field(layout.nau_loss_db - layout.gain_db))
+        u_factors.append(db_to_field(NAU_LOSS_DB - GAIN_DB))
     return [
         (v.theta, cells(v.theta, v.phi), v_factors),
         (u.theta, cells(u.theta, u.phi), u_factors),

@@ -24,7 +24,7 @@ from spnn.device import (
 )
 from spnn.mesh import LayerLayout, Mesh, lossless_cells
 from spnn.numerics import Rng, db_to_field, dbm_to_mw
-from spnn.propagation import NetworkSpec, PropagationResult
+from spnn.propagation import GAIN_DB, NAU_LOSS_DB, NetworkSpec, PropagationResult
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def transfer_matrix(
         engine = _LayerEngine(layout, p, mode)
         engine.run(t, leaks=None)
         if include_gain:
-            t *= db_to_field(layout.nau_loss_db - layout.gain_db)
+            t *= db_to_field(NAU_LOSS_DB - GAIN_DB)
     return t
 
 
@@ -257,7 +257,7 @@ def network_cascade(
         )
         engine.run(signal, leaks, iter(range(offset, offset + per_layer[m])))
         offset += per_layer[m]
-        f = db_to_field(layout.nau_loss_db - layout.gain_db)
+        f = db_to_field(NAU_LOSS_DB - GAIN_DB)
         signal *= f
         leaks[:, :offset] *= f
     transfer = transfer_matrix(spec.layers, spec.params, include_gain=True)

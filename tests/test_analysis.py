@@ -125,7 +125,7 @@ def test_accuracy_eval_zero_loss_equals_ideal_for_any_model():
 def test_loss_sweep_zero_point_is_nominal():
     dataset = _toy_two_class()
     model = train_reference((4, 1), dataset, epochs=100, rng=Rng(1)).model
-    results = loss_sweep(model, dataset, "alpha_l_db", [0.0, 0.2])
+    results = loss_sweep(model, dataset, MziParams(), "alpha_l_db", [0.0, 0.2])
     nominal = accuracy_eval(
         model, dataset, params_with_alphas(0.0, 0.0, 0.0), crosstalk=False
     ).accuracy_pct
@@ -134,29 +134,43 @@ def test_loss_sweep_zero_point_is_nominal():
 
 
 def test_sweeps_compile_each_layer_once_and_match_accuracy_eval(monkeypatch):
+    """Each study evaluates on the device it is given, with only the loss
+    axes (and X_B / X_C on the grid) set by the study."""
     dataset = _toy_two_class()
     rng = Rng(6)
     w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     model = ComplexMlp([w, w.T])
+    device = MziParams(kappa1=0.4, kappa2=0.6, xtalk_sigma_frac=0.3)
+
+    def acc(*alphas):
+        q = params_with_alphas(*alphas, base=device)
+        return accuracy_eval(model, dataset, q).accuracy_pct
+
     grid = [0.0, 0.2, 0.4]
-    per_point = [
-        accuracy_eval(model, dataset, params_with_alphas(v, 0.0, 0.0)).accuracy_pct
-        for v in grid
-    ]
+    per_point = [acc(v, 0.0, 0.0) for v in grid]
     # crosstalk_grid's cell (0, 0): losses at their expected minima.
-    p = replace(params_with_alphas(0.1, 0.1, 0.03), xb_db=-25.0, xc_db=-18.0)
+    p = replace(
+        params_with_alphas(0.1, 0.1, 0.03, base=device), xb_db=-25.0, xc_db=-18.0
+    )
     cell = accuracy_eval(model, dataset, p, True, Rng(1).spawn(0, 0)).accuracy_pct
     compiled = []
     real = analysis.compile_layer
     monkeypatch.setattr(
         analysis, "compile_layer", lambda w: compiled.append(w) or real(w)
     )
-    swept = loss_sweep(model, dataset, "alpha_l_db", grid)
+    swept = loss_sweep(model, dataset, device, "alpha_l_db", grid)
     assert [r.accuracy_pct for r in swept] == per_point
-    assert crosstalk_grid(model, dataset, [-25.0], [-18.0], Rng(1))[0, 0] == cell
-    joint_loss_sample(model, dataset, 3, Rng(2))
-    tolerance_search(model, dataset, 5.0)
+    xgrid = crosstalk_grid(model, dataset, device, [-25.0], [-18.0], Rng(1))
+    assert xgrid[0, 0] == cell
+    rows = joint_loss_sample(model, dataset, device, 3, Rng(2))
+    limits = tolerance_search(model, dataset, device, 5.0)
     assert len(compiled) == 4 * len(model.weights)
+    monkeypatch.undo()
+    assert [row[3] for row in rows] == [acc(*row[:3]) for row in rows]
+    floor = acc(0.0, 0.0, 0.0) - 5.0
+    for key, limit in limits.items():
+        alphas = (limit if k == key else 0.0 for k in EXPECTED_ALPHA_RANGES)
+        assert acc(*alphas) >= floor
 
 
 def test_crosstalk_accuracy_holds_one_magnitude_bank_at_a_time(monkeypatch):
@@ -196,6 +210,11 @@ def test_params_with_alphas_round_trip():
     assert p.alpha_l_db == 0.3
     assert p.alpha_m_db == 0.15
     assert p.propagation_db == pytest.approx(0.09)
+
+
+def test_loss_studies_reject_a_device_of_zero_length():
+    with pytest.raises(ValueError, match="l_mzi_um > 0"):
+        params_with_alphas(0.1, 0.1, 0.0, base=MziParams(l_mzi_um=0.0))
 
 
 def test_expected_alpha_ranges_ordering():

@@ -3,7 +3,6 @@ byte-identical reproducibility of command outputs."""
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from spnn.config import (
     resolve_out_dir,
 )
 from spnn.device import MziParams
+from spnn.propagation import GAIN_DB, NAU_LOSS_DB
 
 
 def test_defaults_match_reference_parameters():
@@ -29,8 +29,7 @@ def test_defaults_match_reference_parameters():
     assert p.alpha_p_db_per_cm == 2.0
     assert p.l_mzi_um == 300.0
     assert (p.xb_db, p.xc_db) == (-25.0, -18.0)
-    assert cfg.gain_db == 17.0
-    assert cfg.nau_loss_db == 1.0
+    assert (GAIN_DB, NAU_LOSS_DB) == (17.0, 1.0)
     assert cfg.launch_power_dbm == 0.0
     assert cfg.sensitivity_dbm == -11.7
 
@@ -106,18 +105,18 @@ def test_emit_csv_round_trip_bit_identical(tmp_path):
 
 
 def test_emit_csv_quoting_and_trailing_newline(tmp_path):
-    path = str(tmp_path / "q.csv")
-    emit_csv(["name", "x"], [["a,b", 1.5], ['say "hi"', 2]], path)
-    text = open(path, encoding="utf-8").read()
+    path = tmp_path / "q.csv"
+    emit_csv(["name", "x"], [["a,b", 1.5], ['say "hi"', 2]], str(path))
+    text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert '"a,b"' in text
     assert '"say ""hi"""' in text
 
 
 def test_emit_csv_empty_table_is_header_only(tmp_path):
-    path = str(tmp_path / "e.csv")
-    emit_csv(["a", "b"], [], path)
-    assert open(path, encoding="utf-8").read() == "a,b\n"
+    path = tmp_path / "e.csv"
+    emit_csv(["a", "b"], [], str(path))
+    assert path.read_text(encoding="utf-8") == "a,b\n"
 
 
 def test_emit_csv_rejects_ragged_rows(tmp_path):
@@ -126,28 +125,26 @@ def test_emit_csv_rejects_ragged_rows(tmp_path):
 
 
 def test_device_sweep_schema_and_determinism(tmp_path):
-    out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-    assert main(["device-sweep", "--out", out1]) == 0
-    assert main(["device-sweep", "--out", out2]) == 0
-    b1 = open(os.path.join(out1, "device-sweep.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "device-sweep.csv"), "rb").read()
-    assert b1 == b2
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["device-sweep", "--out", str(out1)]) == 0
+    assert main(["device-sweep", "--out", str(out2)]) == 0
+    b1 = (out1 / "device-sweep.csv").read_bytes()
+    assert b1 == (out2 / "device-sweep.csv").read_bytes()
     lines = b1.decode().splitlines()
     assert lines[0] == "theta,il_o1_db,il_o2_db,xp_o1_dbm,xp_o2_dbm"
     assert len(lines) == 102  # header + 101 theta points
-    cfg_echo = json.load(open(os.path.join(out1, "device-sweep.config.json")))
+    cfg_echo = json.loads((out1 / "device-sweep.config.json").read_text())
     assert cfg_echo["seed"] == ExperimentConfig().seed
 
 
 def test_layer_stats_reproducible_from_seed(tmp_path):
     args = ["layer-stats", "--set", "trials=4", "--set", "n=4", "--seed", "3"]
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(args + ["--out", out1]) == 0
-    assert main(args + ["--out", out2]) == 0
-    assert (
-        open(os.path.join(out1, "layer-stats.csv"), "rb").read()
-        == open(os.path.join(out2, "layer-stats.csv"), "rb").read()
-    )
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    assert (out1 / "layer-stats.csv").read_bytes() == (
+        out2 / "layer-stats.csv"
+    ).read_bytes()
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
@@ -155,27 +152,62 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair", ["gain_db=30", "nau_loss_db=2", "weight_source=file"])
+def test_removed_keys_are_unknown(tmp_path, capsys, pair):
+    assert main(["compile", "--set", pair, "--out", str(tmp_path)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_compile_reads_the_weight_file_when_set(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"real": [[1.0, 0.0], [0.0, 0.5]]}')
+    out = tmp_path / "c"
+    assert main(["compile", "--set", f"weight_file={path}", "--out", str(out)]) == 0
+    lines = (out / "compile.csv").read_text().splitlines()
+    n, n_mzi, s_max, _ = lines[1].split(",")
+    assert (int(n), int(n_mzi)) == (2, 2)
+    assert float(s_max) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_network_stats_crosstalk_follows_launch_power(tmp_path):
+    """Under the nominal ledger crosstalk power is linear in the launch
+    power and IL is a ratio: +10 dBm moves only the xp columns, by 10 dB."""
+    args = ["network-stats", "--set", "n_list=4", "--set", "m_list=1,2"]
+    args += ["--set", "network_trials=2"]
+    rows = []
+    for launch in ("0", "10"):
+        out = tmp_path / launch
+        run = ["--set", f"launch_power_dbm={launch}", "--out", str(out)]
+        assert main(args + run) == 0
+        lines = (out / "network-stats.csv").read_text().splitlines()
+        rows.append([line.split(",") for line in lines[1:]])
+    for base, loud in zip(*rows):
+        assert loud[:4] == base[:4]
+        for b, l in zip(base[4:], loud[4:]):
+            assert float(l) == pytest.approx(float(b) + 10.0, rel=0, abs=1e-12)
+
+
 def test_compile_names_non_finite_weights(tmp_path, capsys):
     path = tmp_path / "w.json"
     path.write_text('{"real": [[1.0, NaN], [0.5, 2.0]]}')
-    args = ["compile", "--set", "weight_source=file", "--set", f"weight_file={path}"]
-    assert main(args + ["--out", str(tmp_path / "c")]) == 2
+    args = ["compile", "--set", f"weight_file={path}", "--out", str(tmp_path / "c")]
+    assert main(args) == 2
     assert "weights contain NaN or inf" in capsys.readouterr().err
 
 
 def test_compile_emits_layout(tmp_path):
-    out = str(tmp_path / "c")
-    assert main(["compile", "--out", out, "--set", "n=4", "--seed", "5"]) == 0
-    layout = json.load(open(os.path.join(out, "layout.json")))
+    out = tmp_path / "c"
+    assert main(["compile", "--out", str(out), "--set", "n=4", "--seed", "5"]) == 0
+    layout = json.loads((out / "layout.json").read_text())
     assert layout["n"] == 4
 
 
 def test_accuracy_command_end_to_end(tmp_path):
-    out = str(tmp_path / "acc")
+    out = tmp_path / "acc"
     args = [
         "accuracy",
         "--out",
-        out,
+        str(out),
         "--set",
         "epochs=30",
         "--set",
@@ -184,7 +216,7 @@ def test_accuracy_command_end_to_end(tmp_path):
         "crosstalk=false",
     ]
     assert main(args) == 0
-    lines = open(os.path.join(out, "accuracy.csv")).read().splitlines()
+    lines = (out / "accuracy.csv").read_text().splitlines()
     assert lines[0] == "accuracy_pct,ideal_accuracy_pct,crosstalk,n_samples"
     acc, ideal, xtalk, n = lines[1].split(",")
     assert 0.0 <= float(acc) <= 100.0
