@@ -154,8 +154,15 @@ def _load_weight_matrix(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.weight_file:
         with open(cfg.weight_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or "real" not in doc:
+            raise ValueError("weight_file must hold a JSON object with a 'real' array")
         real = np.array(doc["real"], dtype=float)
-        imag = np.array(doc.get("imag", np.zeros_like(real).tolist()), dtype=float)
+        imag = np.array(doc.get("imag", np.zeros_like(real)), dtype=float)
+        if real.ndim != 2 or imag.shape != real.shape:
+            raise ValueError(
+                "weight_file needs a 2-D 'real' and an 'imag' of its shape, "
+                f"got {real.shape} and {imag.shape}"
+            )
         return real + 1j * imag
     return Rng(cfg.seed).standard_normal((cfg.n, cfg.n))
 
@@ -393,7 +400,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fix_heap_thresholds() -> None:
+    """Hold glibc's heap trim and mmap thresholds at 32 MiB (its 64-bit cap on
+    the dynamic mmap threshold), so the trainer's per-step temporaries are
+    reused, not returned to the kernel and faulted in again. A no-op without mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows takes no None
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param in (-1, -3):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+        mallopt(param, 32 * 2**20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _fix_heap_thresholds()
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()

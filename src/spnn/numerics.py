@@ -18,7 +18,6 @@ __all__ = [
     "mw_to_dbm",
     "dbm_to_mw",
     "svd",
-    "is_unitary",
     "fft2d",
     "random_unitary",
 ]
@@ -160,14 +159,6 @@ def svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{_member(i, len(resid))}"
         )
     return u, s, vh
-
-
-def is_unitary(m: np.ndarray, tol: float) -> bool:
-    """True iff ``max|m @ m^H - I| < tol``."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"is_unitary expects a square matrix, got {m.shape}")
-    return bool(unitarity_residual(m) < tol)
 
 
 def unitarity_residual(m: np.ndarray):

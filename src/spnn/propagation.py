@@ -350,8 +350,8 @@ def monte_carlo_interference(
 
 
 # Bytes of the float64 magnitude bank resolve_crosstalk_fields turns into
-# phased fields at a time: it bounds the temporaries, one float phase and
-# one complex phasor per magnitude (3x these bytes), not the bank.
+# phased fields at a time: it bounds the temporaries, one float64 phase and
+# its float32 copy and cos/sin (about 2x these bytes), not the bank.
 _RESOLVE_BLOCK_BYTES = 4 * 2**20
 
 
@@ -364,21 +364,21 @@ def resolve_crosstalk_fields(
     The bank is resolved in blocks of port rows. The phases are drawn
     block by block in row order, which consumes the stream exactly as one
     draw of the bank's full shape does, so the result does not depend on
-    the block size. Each block's phasors cos + j sin (bit for bit
-    ``exp(1j * rho)``) are weighted in place in one reused complex buffer."""
+    the block size. Each phase is rounded to float32 (by at most ~4e-7 rad)
+    for its cos and sin; the weighted parts are summed in float64."""
     leaks = result.leak_fields
     if leaks.shape[1] == 0:
         return result.signal.copy()
     rows = max(1, _RESOLVE_BLOCK_BYTES // leaks[0].nbytes)
-    out = np.empty(result.signal.shape, dtype=complex)
-    buf = np.empty((min(rows, len(leaks)),) + leaks.shape[1:], dtype=complex)
+    out = result.signal.astype(complex)
+    trig = np.empty((min(rows, len(leaks)),) + leaks.shape[1:], dtype=np.float32)
     for lo in range(0, leaks.shape[0], rows):
         block = leaks[lo : lo + rows]
         rho = rng.uniform(0.0, 2.0 * math.pi, size=block.shape)
-        phased = buf[: len(block)]
-        np.cos(rho, out=phased.real)
-        np.sin(rho, out=phased.imag)
-        del rho
-        phased *= block
-        out[lo : lo + rows] = result.signal[lo : lo + rows] + np.sum(phased, axis=1)
+        rho32 = rho.astype(np.float32)
+        t = trig[: len(block)]
+        for part, fn in ((out.real, np.cos), (out.imag, np.sin)):
+            np.multiply(block, fn(rho32, out=t), out=rho)
+            part[lo : lo + rows] += np.sum(rho, axis=1)
+        del rho, rho32
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spnn.mesh import TWO_PI, Mesh, lossless_cells
-from spnn.numerics import is_unitary, unitarity_residual
+from spnn.numerics import unitarity_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +36,14 @@ class PlacedMesh(Mesh):
 
 def lossless_cell(theta: float, phi: float) -> np.ndarray:
     return lossless_cells(theta, phi)
+
+
+def is_unitary(m: np.ndarray, tol: float) -> bool:
+    """True iff ``max|m @ m^H - I| < tol``."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"is_unitary expects a square matrix, got {m.shape}")
+    return bool(unitarity_residual(m) < tol)
 
 
 def _wrap_phi(phi: float) -> float:

@@ -1,12 +1,19 @@
 """CLI tests: strict config handling, CSV emission round trips, and
 byte-identical reproducibility of command outputs."""
 
+import ctypes
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import spnn
 from spnn.cli import emit_csv, main
 from spnn.config import (
     OUT_DIR_ENV,
@@ -193,6 +200,83 @@ def test_compile_names_non_finite_weights(tmp_path, capsys):
     args = ["compile", "--set", f"weight_file={path}", "--out", str(tmp_path / "c")]
     assert main(args) == 2
     assert "weights contain NaN or inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[[1, 0], [0, 1]]", "weight_file must hold a JSON object"),
+        ('{"real": [[1, 0], [0, 1]], "imag": [[1]]}', "got (2, 2) and (1, 1)"),
+        ('{"real": [1, 2]}', "weight_file needs a 2-D 'real'"),
+    ],
+    ids=["top_level_list", "imag_of_another_shape", "real_not_2d"],
+)
+def test_compile_rejects_a_malformed_weight_file(tmp_path, capsys, doc, message):
+    path = tmp_path / "w.json"
+    path.write_text(doc)
+    args = ["compile", "--set", f"weight_file={path}", "--out", str(tmp_path / "c")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "c" / "compile.csv").exists()
+
+
+# N=32 over 420 training samples: the trainer's temporaries are 100-215 KB, on
+# either side of glibc's default 128 KiB mmap threshold.
+_TRAIN = ["train", "--set", "n=32", "--set", "n_features=32", "--set", "n_per_class=75"]
+_TRAIN += ["--set", "epochs=20", "--seed", "5"]
+
+
+def test_main_sets_the_trim_and_mmap_thresholds(tmp_path, monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    assert main(["device-sweep", "--set", "theta_points=3", "--out", str(tmp_path)]) == 0
+    assert calls == [(-1, 32 * 2**20), (-3, 32 * 2**20)]
+
+
+def _refuse_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "cdll", [_refuse_libc, lambda name: object()],
+    ids=["cdll_raises", "libc_without_mallopt"],
+)
+def test_main_runs_where_mallopt_is_missing(tmp_path, monkeypatch, cdll):
+    assert main(_TRAIN + ["--out", str(tmp_path / "normal")]) == 0
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(_TRAIN + ["--out", str(tmp_path / "bare")]) == 0
+    normal = (tmp_path / "normal" / "train.csv").read_bytes()
+    assert (tmp_path / "bare" / "train.csv").read_bytes() == normal
+
+
+def test_train_loss_curve_does_not_depend_on_the_heap_thresholds(tmp_path):
+    """Two fresh processes, one through ``main`` as the CLI runs it and one
+    whose ``ctypes.CDLL`` fails, so its allocator keeps glibc's defaults,
+    write the same loss-curve bytes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(spnn.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    run = (
+        "import ctypes, sys\n"
+        "if sys.argv[1] == 'bare':\n"
+        "    def _refuse(name): raise OSError('no C library')\n"
+        "    ctypes.CDLL = _refuse\n"
+        "from spnn.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    for side in ("set", "bare"):
+        argv = [sys.executable, "-c", run, side] + _TRAIN + ["--out", str(tmp_path / side)]
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+    curve = (tmp_path / "set" / "train.csv").read_bytes()
+    assert curve.count(b"\n") == 21
+    assert (tmp_path / "bare" / "train.csv").read_bytes() == curve
 
 
 def test_compile_emits_layout(tmp_path):

@@ -239,6 +239,14 @@ def test_decompose_rejects_non_unitary():
         clements_decompose(w)
 
 
+def test_oracle_unitarity_check():
+    u = random_unitary(4, Rng(3))
+    assert oracle.is_unitary(u, 1e-10)
+    assert not oracle.is_unitary(1.01 * u, 1e-10)
+    with pytest.raises(ValueError, match="square matrix"):
+        oracle.is_unitary(u[:3], 1e-10)
+
+
 def test_lossless_cell_matches_reconstruction_convention():
     theta, phi = 0.9, 2.3
     cell = lossless_cells(theta, phi)

@@ -217,6 +217,16 @@ def test_row_blocked_phase_draws_consume_the_stream_like_one_shot():
     assert np.array_equal(np.concatenate(blocks), one_shot)
 
 
+def _float32_phasor_resolve(res, rho):
+    """The resolve formula in one shot: float32 cos and sin of the float64
+    phases, weighted and summed over the components in float64."""
+    rho32 = rho.astype(np.float32)
+    out = res.signal.astype(complex)
+    out.real += np.sum(res.leak_fields * np.cos(rho32), axis=1)
+    out.imag += np.sum(res.leak_fields * np.sin(rho32), axis=1)
+    return out
+
+
 @pytest.mark.parametrize("samples", [None, 5])
 def test_blocked_resolution_is_bit_identical_to_one_shot(samples, monkeypatch):
     (layout,) = _layers(7, 1, 21)
@@ -224,19 +234,34 @@ def test_blocked_resolution_is_bit_identical_to_one_shot(samples, monkeypatch):
     res = propagate_with_crosstalk(layout, PARAMS[0], x, rng=Rng(4))
     leaks = res.leak_fields
     rho = Rng(8).uniform(0.0, 2.0 * math.pi, size=leaks.shape)
-    expected = res.signal + np.sum(np.abs(leaks) * np.exp(1j * rho), axis=1)
+    expected = _float32_phasor_resolve(res, rho)
     for rows in (1, 3, 7):
         monkeypatch.setattr(propagation, "_RESOLVE_BLOCK_BYTES", rows * leaks[0].nbytes)
         got = resolve_crosstalk_fields(res, Rng(8))
         assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("samples", [None, 5])
+def test_resolution_matches_float64_phasors_to_float32_phase_granularity(samples):
+    """The float32 phasors move each port's field from the float64 formula
+    ``signal + sum(|a| exp(1j rho))`` by a few float32 ulps of each phase
+    and phasor, so by well under 1e-6 of the summed magnitude sum(|a|)."""
+    (layout,) = _layers(7, 1, 21)
+    res = propagate_with_crosstalk(layout, PARAMS[0], _field(7, samples, 21), rng=Rng(4))
+    leaks = res.leak_fields
+    rho = Rng(8).uniform(0.0, 2.0 * math.pi, size=leaks.shape)
+    float64 = res.signal + np.sum(leaks * np.exp(1j * rho), axis=1)
+    got = resolve_crosstalk_fields(res, Rng(8))
+    assert np.all(np.abs(got - float64) <= 1e-6 * np.sum(leaks, axis=1))
+
+
 def test_default_block_resolve_peaks_below_three_blocks_above_the_bank():
     """One default-block resolve of an N=32 layer's bank over 180 samples
-    (43.6 MB, two port rows per block) holds one float phase and one
-    complex phasor per magnitude of a block: at most 3x the magnitude bytes
-    a block may hold above the bank (numpy reports its allocations to
-    tracemalloc)."""
+    (43.6 MB, two port rows per block) holds one float64 phase, its float32
+    copy and one float32 cos or sin per magnitude of a block, and frees a
+    block's phases before the next draw: about 2x the magnitude bytes a
+    block may hold above the bank, at most 2.5x (numpy reports its
+    allocations to tracemalloc)."""
     n, k, samples = 32, 32 * 31, 180
     leaks = np.abs(Rng(6).standard_normal((n, k, samples)))
     signal = np.ones((n, samples), dtype=complex)
@@ -248,4 +273,4 @@ def test_default_block_resolve_peaks_below_three_blocks_above_the_bank():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * propagation._RESOLVE_BLOCK_BYTES
+    assert peak <= 2.5 * propagation._RESOLVE_BLOCK_BYTES
