@@ -17,9 +17,11 @@ Conventions:
   read off the crosstalk pass's suffix transfer (``result.transfer @ x``),
   so IL and crosstalk come from one lossy walk. Ratio averages are formed
   in the linear domain and quoted in dB.
+* Every power is computed at the 1 mW-per-port reference launch; the
+  CLI adds ``launch_power_dbm`` to the crosstalk columns it prints.
 * Layer-level crosstalk uses physical ("field") leak powers, no gain.
   Network-level crosstalk and accuracy evaluation use the power-budget
-  ledger (``leak_birth="nominal"``).
+  ledger (``leak_birth="nominal"``), which books each leak at X times 1 mW.
 * Expected crosstalk power per port is the power sum ``sum_k |a_k|^2``;
   the worst case is the aligned coherent bound ``(sum_k |a_k|)^2``.
 """
@@ -27,7 +29,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,9 +80,6 @@ EXPECTED_ALPHA_RANGES = {
 class PortStatistics:
     """Ensemble insertion-loss / crosstalk summary for one (N, M) point."""
 
-    n: int
-    m: int
-    trials: int
     il_avg_db: float
     il_worst_db: float
     xp_avg_dbm: float
@@ -94,7 +93,6 @@ class PenaltyReport:
     per_port_penalty_dbm: np.ndarray
     avg_dbm: float
     worst_dbm: float
-    infeasible: np.ndarray  # bool per port: crosstalk >= signal, no margin
     il_db: np.ndarray
 
 
@@ -198,13 +196,13 @@ def _il_ratios(
 # Ensemble statistics
 # --------------------------------------------------------------------------
 
-def _layer_trials(n: int, p: MziParams, trials: int, seed: int, launch_mw: float):
+def _layer_trials(n: int, p: MziParams, trials: int, seed: int):
     """Single-layer trials: trial i is a random weight matrix and a
-    random-phase input of ``launch_mw`` per port, both drawn from
-    ``Rng(seed + i)``. Yields per trial the per-port IL ratios (no gain)
-    and the physical leak amplitudes (n, K)."""
+    random-phase input of 1 mW per port, both drawn from ``Rng(seed + i)``.
+    Yields per trial the per-port IL ratios (no gain) and the physical leak
+    amplitudes (n, K)."""
     for r, (layout,) in _compiled_trials(n, 1, trials, seed):
-        x = random_phase_input(n, r) * math.sqrt(launch_mw)
+        x = random_phase_input(n, r)
         res = propagate_with_crosstalk(layout, p, x, rng=r)
         yield _il_ratios(res, [layout], p, x), res.leak_fields
 
@@ -225,16 +223,13 @@ def layer_statistics(
     ratios = []
     xp_mean = []
     xp_aligned = []
-    for ratio, amps in _layer_trials(n, p, trials, seed, launch_mw=1.0):
+    for ratio, amps in _layer_trials(n, p, trials, seed):
         ratios.append(ratio)
         xp_mean.append(np.sum(amps**2, axis=1))
         xp_aligned.append(np.sum(amps, axis=1) ** 2)
     ratios = np.concatenate(ratios)
     il_db = power_to_db(ratios)
     return PortStatistics(
-        n=n,
-        m=1,
-        trials=trials,
         il_avg_db=float(power_to_db(ratios.mean())),
         il_worst_db=float(il_db.max()),
         xp_avg_dbm=float(mw_to_dbm(np.concatenate(xp_mean).mean())),
@@ -276,9 +271,6 @@ def network_statistics(
         del res, amps  # free this bank before the next trial's pass
     ratios = np.concatenate(ratios)
     return PortStatistics(
-        n=n,
-        m=m,
-        trials=trials,
         il_avg_db=float(power_to_db(ratios.mean())),
         il_worst_db=float(np.mean(per_matrix_max)),
         xp_avg_dbm=float(mw_to_dbm(np.mean(xp_total))),
@@ -293,47 +285,30 @@ def network_statistics(
 def power_penalty(
     spec: NetworkSpec,
     result: PropagationResult,
-    mode: str = "worst",
     x: np.ndarray | None = None,
 ) -> PenaltyReport:
     """Minimal launch power per port so the output clears the detector.
 
     Per port y the requirement is ``P >= S_PD + IL_y + XP_y`` with IL_y the
-    port's insertion loss in dB and XP_y its crosstalk power in dBm rescaled
-    to a 0 dBm launch. Because crosstalk shifts one-for-one with launch
-    power the requirement is solved once at the reference power; a port
-    whose crosstalk sits below the 1 mW reference contributes no crosstalk
-    line (the penalty can never drop below ``S_PD + IL``). A port is flagged
-    infeasible when its aligned crosstalk amplitude reaches the signal
-    amplitude: destructive interference can then null the output at any
-    launch power. A port the ideal network leaves dark has NaN IL and
-    penalty; the average and worst are taken over the other ports, and are
-    NaN only when every port is dark.
-
-    ``mode="worst"`` books the aligned coherent crosstalk bound per port;
-    ``mode="average"`` books the expected (power-sum) crosstalk.
+    port's insertion loss in dB and XP_y its aligned coherent crosstalk
+    bound ``(sum_k |a_k|)^2`` in dBm at the 1 mW reference launch. Because
+    crosstalk shifts one-for-one with launch power the requirement is solved
+    once at the reference power; a port whose crosstalk sits below the 1 mW
+    reference contributes no crosstalk line (the penalty can never drop
+    below ``S_PD + IL``). A port the ideal network leaves dark has NaN IL
+    and penalty; the average and worst are taken over the other ports, and
+    are NaN only when every port is dark.
     """
-    if mode not in ("average", "worst"):
-        raise ValueError(f"unknown mode {mode!r}")
     if x is None:
         x = spec.launch_field()
     il_db = power_to_db(_il_ratios(result, spec.layers, spec.params, x))
-    amps = result.leak_fields
-    aligned_mw = np.sum(amps, axis=1) ** 2
-    if mode == "worst":
-        xp_mw = aligned_mw
-    else:
-        xp_mw = np.sum(amps**2, axis=1)
-    xp_dbm = mw_to_dbm(xp_mw) - spec.input_power_dbm
-    sig_amp = np.abs(result.signal)
-    infeasible = np.sqrt(aligned_mw) >= sig_amp
+    xp_dbm = mw_to_dbm(np.sum(result.leak_fields, axis=1) ** 2)
     per_port = spec.photodetector_sensitivity_dbm + il_db + np.maximum(0.0, xp_dbm)
     lit = per_port[~np.isnan(il_db)]  # a dark port needs no launch power
     return PenaltyReport(
         per_port_penalty_dbm=per_port,
         avg_dbm=float(lit.mean()) if lit.size else math.nan,
         worst_dbm=float(lit.max()) if lit.size else math.nan,
-        infeasible=infeasible,
         il_db=il_db,
     )
 
@@ -364,7 +339,7 @@ def penalty_statistics(
         )
         x = random_phase_input(n, r)
         res = network_cascade(spec, x, rng=r, leak_birth="nominal")
-        penalties.append(power_penalty(spec, res, mode="worst", x=x).worst_dbm)
+        penalties.append(power_penalty(spec, res, x=x).worst_dbm)
         del res  # free this bank before the next trial's pass
     return float(np.mean(penalties)), float(np.max(penalties)), penalties
 
@@ -557,9 +532,10 @@ def accuracy_eval(
 
 
 def _compiled(model: ComplexMlp) -> list[LayerLayout]:
-    """Each layer's layout. Compiling draws no random numbers, so a sweep
-    compiles once and evaluates every point on the result."""
-    return [compile_layer(w) for w in model.weights]
+    """Each layer's layout, from one stacked compile. Compiling draws no
+    random numbers, so a sweep compiles once and evaluates every point on
+    the result."""
+    return compile_layers(model.weights)
 
 
 def _evaluate(compiled, model, dataset, p, rng=None) -> AccuracyResult:

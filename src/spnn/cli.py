@@ -90,13 +90,7 @@ def _load_dataset(cfg: ExperimentConfig) -> FeatureDataset:
     if cfg.images_path:
         images, labels = ingest_idx(cfg.images_path, cfg.labels_path)
         n_classes = int(labels.max()) + 1 if labels.size else 0
-        return featurize(
-            images,
-            labels,
-            cfg.n_features,
-            n_classes,
-            provenance={"source": cfg.images_path},
-        )
+        return featurize(images, labels, cfg.n_features, n_classes)
     return build_default_dataset(
         n_per_class=cfg.n_per_class,
         n_features=cfg.n_features,
@@ -122,13 +116,34 @@ def _save_model(model: ComplexMlp, path: str) -> None:
         fh.write("\n")
 
 
+def _complex_matrix(doc, what: str) -> np.ndarray:
+    """The 2-D matrix a ``{"real": ..., "imag": ...}`` object holds; a
+    missing ``imag`` is zero."""
+    if not isinstance(doc, dict) or "real" not in doc:
+        raise ValueError(f"{what} must hold a JSON object with a 'real' array")
+    try:
+        real = np.array(doc["real"], dtype=float)
+        imag = np.array(doc.get("imag", np.zeros_like(real)), dtype=float)
+    except TypeError as exc:  # e.g. an object where a number belongs
+        raise ValueError(f"{what}: {exc}") from exc
+    if real.ndim != 2 or imag.shape != real.shape:
+        raise ValueError(
+            f"{what} needs a 2-D 'real' and an 'imag' of its shape, "
+            f"got {real.shape} and {imag.shape}"
+        )
+    return real + 1j * imag
+
+
 def _load_model(path: str) -> ComplexMlp:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    weights = [
-        np.array(w["real"], dtype=float) + 1j * np.array(w["imag"], dtype=float)
-        for w in doc["weights"]
-    ]
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("weights"), list)
+        and isinstance(doc.get("bias"), (int, float))
+    ):
+        raise ValueError("model_file must hold a JSON object with 'weights' and 'bias'")
+    weights = [_complex_matrix(w, "each model_file weight") for w in doc["weights"]]
     return ComplexMlp(weights, bias=float(doc["bias"]))
 
 
@@ -153,17 +168,7 @@ def _trained_model(cfg: ExperimentConfig, train_set: FeatureDataset) -> ComplexM
 def _load_weight_matrix(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.weight_file:
         with open(cfg.weight_file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or "real" not in doc:
-            raise ValueError("weight_file must hold a JSON object with a 'real' array")
-        real = np.array(doc["real"], dtype=float)
-        imag = np.array(doc.get("imag", np.zeros_like(real)), dtype=float)
-        if real.ndim != 2 or imag.shape != real.shape:
-            raise ValueError(
-                "weight_file needs a 2-D 'real' and an 'imag' of its shape, "
-                f"got {real.shape} and {imag.shape}"
-            )
-        return real + 1j * imag
+            return _complex_matrix(json.load(fh), "weight_file")
     return Rng(cfg.seed).standard_normal((cfg.n, cfg.n))
 
 
@@ -195,9 +200,8 @@ def _quartiles(samples: np.ndarray) -> list[float]:
 
 def _cmd_layer_stats(cfg, out_dir):
     p = cfg.mzi_params()
-    launch_mw = 10.0 ** (cfg.launch_power_dbm / 10.0)
     il_db, xp_dbm = [], []
-    for ratios, amps in _layer_trials(cfg.n, p, cfg.trials, cfg.seed, launch_mw):
+    for ratios, amps in _layer_trials(cfg.n, p, cfg.trials, cfg.seed):
         il_db.append(power_to_db(ratios))
         xp_dbm.append(mw_to_dbm(np.sum(amps**2, axis=1)))
     il_db, xp_dbm = np.array(il_db).T, np.array(xp_dbm).T  # (port, trial)
@@ -209,7 +213,8 @@ def _cmd_layer_stats(cfg, out_dir):
             for stat in ("min", "q1", "median", "q3", "max", "mean")
         ]
     rows = [
-        [port] + _quartiles(il_db[port]) + _quartiles(xp_dbm[port])
+        [port] + _quartiles(il_db[port])
+        + [cfg.launch_power_dbm + q for q in _quartiles(xp_dbm[port])]
         for port in range(cfg.n)
     ]
     return header, rows

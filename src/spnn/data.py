@@ -2,15 +2,14 @@
 and a small seeded synthetic digit set for fast end-to-end runs.
 
 Feature vectors are complex: the lowest-frequency block of the image's 2-D
-spectrum, flattened row-major and normalized to unit L2 so that launch
-power is controlled by configuration, not by image brightness.
+spectrum, flattened row-major and normalized to unit L2 so that every
+sample launches 1 mW in total, whatever the image brightness.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +24,6 @@ __all__ = [
     "build_default_dataset",
 ]
 
-FEATURIZER_VERSION = "fft-lowblock-1"
-
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -38,7 +35,6 @@ class FeatureDataset:
     features: np.ndarray  # (samples, n) complex
     labels: np.ndarray  # (samples,) int
     n_classes: int
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=complex)
@@ -69,17 +65,10 @@ class FeatureDataset:
             raise ValueError("train_fraction must be in (0, 1)")
         order = rng.permutation(self.n_samples)
         cut = int(round(train_fraction * self.n_samples))
-        parts = []
-        for idx in (order[:cut], order[cut:]):
-            parts.append(
-                FeatureDataset(
-                    self.features[idx],
-                    self.labels[idx],
-                    self.n_classes,
-                    provenance=dict(self.provenance, split=len(parts)),
-                )
-            )
-        return parts[0], parts[1]
+        return tuple(
+            FeatureDataset(self.features[idx], self.labels[idx], self.n_classes)
+            for idx in (order[:cut], order[cut:])
+        )
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -161,13 +150,10 @@ def fft_features(image: np.ndarray, n_features: int) -> np.ndarray:
     return vec / norm
 
 
-def featurize(images: np.ndarray, labels, n_features: int, n_classes: int,
-              provenance: dict | None = None) -> FeatureDataset:
+def featurize(images: np.ndarray, labels, n_features: int,
+              n_classes: int) -> FeatureDataset:
     feats = np.stack([fft_features(img, n_features) for img in images])
-    prov = dict(provenance or {})
-    prov["featurizer"] = FEATURIZER_VERSION
-    prov["n_features"] = n_features
-    return FeatureDataset(feats, labels, n_classes, provenance=prov)
+    return FeatureDataset(feats, labels, n_classes)
 
 
 # --------------------------------------------------------------------------
@@ -291,11 +277,4 @@ def build_default_dataset(
     """The desk-scale default: seeded synthetic digits, FFT features."""
     rng = Rng(seed).spawn(101)
     images, labels = synthetic_digits(n_per_class, rng)
-    digest = hashlib.sha256(images.tobytes()).hexdigest()[:16]
-    return featurize(
-        images,
-        labels,
-        n_features,
-        n_classes=len(_GLYPHS),
-        provenance={"source": f"synthetic-digits(seed={seed})", "digest": digest},
-    )
+    return featurize(images, labels, n_features, n_classes=len(_GLYPHS))

@@ -1,7 +1,9 @@
 """Numerical substrate: complex matrices, SVD, 2-D FFT, dB bridges, seeded RNG.
 
-All dB <-> linear conversion in the package goes through :func:`db_to_field`
-and :func:`db_to_power`; nothing downstream stores mixed-unit values.
+The dB bridges below carry most dB <-> linear conversion in the package;
+the crosstalk coefficient X goes from dB to linear inline, as
+``10 ** (x_db / 10)``, in :mod:`spnn.propagation`, :mod:`spnn.device` and
+the CLI's ``device-sweep``. Nothing downstream stores mixed-unit values.
 """
 
 from __future__ import annotations

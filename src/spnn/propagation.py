@@ -36,7 +36,7 @@ from spnn.device import MziParams, crosstalk_coefficient, mzi_cells
 # test_shim_wraps_importers_and_restores_every_function checks it is wrapped here.
 from spnn.device import mzi_transfer  # noqa: F401
 from spnn.mesh import LayerLayout, _schedule, lossless_cells
-from spnn.numerics import Rng, db_to_field, dbm_to_mw
+from spnn.numerics import Rng, db_to_field
 
 __all__ = [
     "GAIN_DB",
@@ -78,7 +78,6 @@ class NetworkSpec:
 
     layers: list[LayerLayout]
     params: MziParams
-    input_power_dbm: float = 0.0
     photodetector_sensitivity_dbm: float = -11.7
 
     def __post_init__(self):
@@ -93,9 +92,8 @@ class NetworkSpec:
         return self.layers[0].n
 
     def launch_field(self) -> np.ndarray:
-        """Equal-phase field with input_power_dbm per port."""
-        amp = math.sqrt(dbm_to_mw(self.input_power_dbm))
-        return np.full(self.n, amp, dtype=complex)
+        """Equal-phase field of 1 mW per port."""
+        return np.ones(self.n, dtype=complex)
 
 
 # --------------------------------------------------------------------------
@@ -150,12 +148,11 @@ def _crosstalk_pass(
     signal: np.ndarray,
     rng: Rng | None,
     leak_birth: str,
-    launch_mw: float,
     include_gain: bool,
 ) -> PropagationResult:
     """Lossy propagation with first-order leaks (see :func:`_mapped_leaks`),
     keeping the magnitude of each mapped leak in a float64 (N, K, B) bank.
-    ``leak_birth="nominal"`` books each leak at X times ``launch_mw``."""
+    ``leak_birth="nominal"`` books each leak at X times 1 mW."""
     if leak_birth not in ("physical", "nominal"):
         raise ValueError(f"unknown leak_birth {leak_birth!r}")
     n = signal.shape[0]
@@ -164,14 +161,14 @@ def _crosstalk_pass(
     bank = np.empty((n, k_total, rows.shape[1]))
     suffix_t = np.eye(n, dtype=complex)
     for slots, mapped in _mapped_leaks(
-        layers, p, rows, rng, leak_birth, launch_mw, include_gain, suffix_t
+        layers, p, rows, rng, leak_birth, include_gain, suffix_t
     ):
         np.abs(mapped, out=bank[:, slots].transpose(1, 0, 2))
     leaks = bank.reshape((n, k_total) + signal.shape[1:])
     return PropagationResult(signal, leaks, suffix_t.T)
 
 
-def _mapped_leaks(layers, p, rows, rng, leak_birth, launch_mw, include_gain, suffix_t):
+def _mapped_leaks(layers, p, rows, rng, leak_birth, include_gain, suffix_t):
     """The crosstalk pass proper. A forward pass moves ``rows`` (N, B) in
     place, draws X once per mesh and keeps each newborn two-row leak in a
     (K, 2, B) array; one backward pass then turns ``suffix_t`` (I on entry)
@@ -196,12 +193,12 @@ def _mapped_leaks(layers, p, rows, rng, leak_birth, launch_mw, include_gain, suf
             leak = np.sqrt(x) * routed[:, ::-1]
             if leak_birth == "nominal":
                 # Power-budget ledger: every leak is booked at X times the
-                # nominal launch power, regardless of how much the local
-                # signal has already been attenuated. The physical leak
-                # direction is kept.
+                # 1 mW reference launch power, regardless of how much the
+                # local signal has already been attenuated. The physical
+                # leak direction is kept.
                 power = np.sum(np.abs(leak) ** 2, axis=1, keepdims=True)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    scale = np.sqrt(x * launch_mw / power)
+                    scale = np.sqrt(x / power)
                 leak *= np.where(power > 0.0, scale, 0.0)
             born[slot + col.start : slot + col.stop] = leak
         slot += len(theta)
@@ -252,9 +249,7 @@ def propagate_with_crosstalk(
     meshes, without its gain. ``leak_birth="nominal"`` books each leak at X
     times 1 mW."""
     signal = _as_field_array(x, layout.n)
-    return _crosstalk_pass(
-        [layout], p, signal, rng, leak_birth, 1.0, include_gain=False
-    )
+    return _crosstalk_pass([layout], p, signal, rng, leak_birth, include_gain=False)
 
 
 def network_cascade(
@@ -268,16 +263,15 @@ def network_cascade(
     Leaks born in layer m traverse layers m+1..M in lossy mode (including
     each traversed layer's gain and NAU factors) without spawning further
     leaks; one backward pass maps the leaks of all M layers. ``leak_birth=
-    "nominal"`` books each leak at X times the network launch power instead
-    of X times the local (already attenuated) signal power; that is the
-    power-budget ledger used for network-level crosstalk reporting.
+    "nominal"`` books each leak at X times the 1 mW reference launch power
+    instead of X times the local (already attenuated) signal power; that is
+    the power-budget ledger used for network-level crosstalk reporting.
     """
     if x is None:
         x = spec.launch_field()
     signal = _as_field_array(x, spec.n)
-    launch_mw = dbm_to_mw(spec.input_power_dbm)
     return _crosstalk_pass(
-        spec.layers, spec.params, signal, rng, leak_birth, launch_mw, include_gain=True
+        spec.layers, spec.params, signal, rng, leak_birth, include_gain=True
     )
 
 

@@ -23,7 +23,7 @@ from spnn.device import (
     mzi_transfer,
 )
 from spnn.mesh import LayerLayout, Mesh, lossless_cells
-from spnn.numerics import Rng, db_to_field, dbm_to_mw
+from spnn.numerics import Rng, db_to_field
 from spnn.propagation import GAIN_DB, NAU_LOSS_DB, NetworkSpec, PropagationResult
 
 
@@ -78,7 +78,6 @@ class _LayerEngine:
         rng: Rng | None = None,
         crosstalk: bool = False,
         leak_birth: str = "physical",
-        nominal_power_mw: float = 1.0,
     ):
         if mode not in ("ideal", "lossy"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -90,7 +89,6 @@ class _LayerEngine:
         self.rng = rng
         self.crosstalk = crosstalk
         self.leak_birth = leak_birth
-        self.nominal_power_mw = nominal_power_mw
         self._cell_cache: dict[tuple[float, float], np.ndarray] = {}
 
     def _cell(self, phases) -> np.ndarray:
@@ -133,7 +131,7 @@ class _LayerEngine:
                             # how much the local signal has already been
                             # attenuated. The physical leak direction is kept.
                             born = np.sum(np.abs(leak2) ** 2, axis=0)
-                            target = x_lin * self.nominal_power_mw
+                            target = x_lin  # X times 1 mW
                             with np.errstate(divide="ignore", invalid="ignore"):
                                 scale = np.where(
                                     born > 0.0, np.sqrt(target / born), 0.0
@@ -253,7 +251,6 @@ def network_cascade(
             rng=rng,
             crosstalk=True,
             leak_birth=leak_birth,
-            nominal_power_mw=dbm_to_mw(spec.input_power_dbm),
         )
         engine.run(signal, leaks, iter(range(offset, offset + per_layer[m])))
         offset += per_layer[m]

@@ -5,7 +5,7 @@ dark-port handling."""
 import os
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -134,8 +134,9 @@ def test_loss_sweep_zero_point_is_nominal():
 
 
 def test_sweeps_compile_each_layer_once_and_match_accuracy_eval(monkeypatch):
-    """Each study evaluates on the device it is given, with only the loss
-    axes (and X_B / X_C on the grid) set by the study."""
+    """Each study compiles the model's layers in one stacked call and
+    evaluates on the device it is given, with only the loss axes (and
+    X_B / X_C on the grid) set by the study."""
     dataset = _toy_two_class()
     rng = Rng(6)
     w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -154,9 +155,9 @@ def test_sweeps_compile_each_layer_once_and_match_accuracy_eval(monkeypatch):
     )
     cell = accuracy_eval(model, dataset, p, True, Rng(1).spawn(0, 0)).accuracy_pct
     compiled = []
-    real = analysis.compile_layer
+    real = analysis.compile_layers
     monkeypatch.setattr(
-        analysis, "compile_layer", lambda w: compiled.append(w) or real(w)
+        analysis, "compile_layers", lambda ws: compiled.append(len(ws)) or real(ws)
     )
     swept = loss_sweep(model, dataset, device, "alpha_l_db", grid)
     assert [r.accuracy_pct for r in swept] == per_point
@@ -164,7 +165,7 @@ def test_sweeps_compile_each_layer_once_and_match_accuracy_eval(monkeypatch):
     assert xgrid[0, 0] == cell
     rows = joint_loss_sample(model, dataset, device, 3, Rng(2))
     limits = tolerance_search(model, dataset, device, 5.0)
-    assert len(compiled) == 4 * len(model.weights)
+    assert compiled == [len(model.weights)] * 4
     monkeypatch.undo()
     assert [row[3] for row in rows] == [acc(*row[:3]) for row in rows]
     floor = acc(0.0, 0.0, 0.0) - 5.0
@@ -228,13 +229,12 @@ def test_power_penalty_without_crosstalk_is_sensitivity_plus_il():
     layers = [compile_layer(Rng(6).standard_normal((n, n)))]
     spec = NetworkSpec(layers, p)
     res = network_cascade(spec, rng=None)
-    report = power_penalty(spec, res, mode="worst")
+    report = power_penalty(spec, res)
     np.testing.assert_allclose(
         report.per_port_penalty_dbm,
         spec.photodetector_sensitivity_dbm + report.il_db,
         atol=1e-9,
     )
-    assert not report.infeasible.any()
 
 
 def test_power_penalty_never_below_loss_line():
@@ -243,12 +243,9 @@ def test_power_penalty_never_below_loss_line():
     layers = [compile_layer(Rng(7).standard_normal((n, n)))]
     spec = NetworkSpec(layers, p)
     res = network_cascade(spec, rng=Rng(8), leak_birth="nominal")
-    for mode in ("average", "worst"):
-        report = power_penalty(spec, res, mode=mode)
-        floor = spec.photodetector_sensitivity_dbm + report.il_db
-        assert np.all(report.per_port_penalty_dbm >= floor - 1e-12)
-    with pytest.raises(ValueError):
-        power_penalty(spec, res, mode="median")
+    report = power_penalty(spec, res)
+    floor = spec.photodetector_sensitivity_dbm + report.il_db
+    assert np.all(report.per_port_penalty_dbm >= floor - 1e-12)
 
 
 def test_network_statistics_shape_and_reproducibility():
@@ -256,7 +253,7 @@ def test_network_statistics_shape_and_reproducibility():
     a = network_statistics(4, 1, p, trials=3, seed=5)
     b = network_statistics(4, 1, p, trials=3, seed=5)
     assert a == b
-    assert a.n == 4 and a.m == 1 and a.trials == 3
+    assert np.isfinite(astuple(a)).all()
 
 
 def _ensemble_results(out_dir):
@@ -301,11 +298,10 @@ def test_dark_ideal_port_has_nan_insertion_loss():
         lossy = res.transfer @ x
         assert np.isnan(ratios[1])
         assert ratios[0] == np.abs(lossy[0]) ** 2 / np.abs(ideal[0]) ** 2
-    for mode in ("average", "worst"):
-        report = power_penalty(spec, res, mode=mode, x=x)
-        assert np.isnan(report.il_db[1]) and np.isnan(report.per_port_penalty_dbm[1])
-        assert np.isfinite(report.per_port_penalty_dbm[0])
-        assert report.avg_dbm == report.worst_dbm == report.per_port_penalty_dbm[0]
+    report = power_penalty(spec, res, x=x)
+    assert np.isnan(report.il_db[1]) and np.isnan(report.per_port_penalty_dbm[1])
+    assert np.isfinite(report.per_port_penalty_dbm[0])
+    assert report.avg_dbm == report.worst_dbm == report.per_port_penalty_dbm[0]
     # Light on port 1 only reaches no ideal output: every port is dark.
     dark = np.array([0.0, 1.0], dtype=complex)
     res = network_cascade(spec, dark, rng=Rng(1), leak_birth="nominal")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spnn
-from spnn.cli import emit_csv, main
+from spnn.cli import _COMMANDS, emit_csv, main
 from spnn.config import (
     OUT_DIR_ENV,
     ExperimentConfig,
@@ -177,21 +177,30 @@ def test_compile_reads_the_weight_file_when_set(tmp_path):
 
 
 def test_network_stats_crosstalk_follows_launch_power(tmp_path):
-    """Under the nominal ledger crosstalk power is linear in the launch
-    power and IL is a ratio: +10 dBm moves only the xp columns, by 10 dB."""
-    args = ["network-stats", "--set", "n_list=4", "--set", "m_list=1,2"]
-    args += ["--set", "network_trials=2"]
-    rows = []
-    for launch in ("0", "10"):
-        out = tmp_path / launch
-        run = ["--set", f"launch_power_dbm={launch}", "--out", str(out)]
-        assert main(args + run) == 0
-        lines = (out / "network-stats.csv").read_text().splitlines()
-        rows.append([line.split(",") for line in lines[1:]])
-    for base, loud in zip(*rows):
-        assert loud[:4] == base[:4]
-        for b, l in zip(base[4:], loud[4:]):
-            assert float(l) == pytest.approx(float(b) + 10.0, rel=0, abs=1e-12)
+    """Crosstalk power is linear in the launch power and IL is a ratio, so
+    the library works at 1 mW per port and the CLI adds the launch power:
+    +10 dBm leaves every other cell byte-identical and moves each xp cell
+    of network-stats and layer-stats by exactly 10 dB."""
+    runs = {
+        "network-stats": ["n_list=4", "m_list=1,2", "network_trials=2"],
+        "layer-stats": ["n=8", "trials=50"],
+    }
+    for command, pairs in runs.items():
+        args = [command, "--seed", "5"] + [a for p in pairs for a in ("--set", p)]
+        tables = []
+        for launch in ("0", "10"):
+            out = tmp_path / command / launch
+            run = ["--set", f"launch_power_dbm={launch}", "--out", str(out)]
+            assert main(args + run) == 0
+            lines = (out / f"{command}.csv").read_text().splitlines()
+            tables.append([line.split(",") for line in lines])
+        base, loud = tables
+        assert loud[0] == base[0]
+        xp = [col.startswith("xp_") for col in base[0]]
+        assert any(xp)
+        for b_row, l_row in zip(base[1:], loud[1:]):
+            for is_xp, b, l in zip(xp, b_row, l_row):
+                assert float(l) == float(b) + 10.0 if is_xp else l == b
 
 
 def test_compile_names_non_finite_weights(tmp_path, capsys):
@@ -219,6 +228,79 @@ def test_compile_rejects_a_malformed_weight_file(tmp_path, capsys, doc, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "c" / "compile.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[1, 2]", "model_file must hold a JSON object"),
+        ('{"bias": 0.1}', "model_file must hold a JSON object"),
+        ('{"weights": [{"real": [[1]]}]}', "model_file must hold a JSON object"),
+        ('{"weights": [{"real": [1, 0]}], "bias": 0.1}', "needs a 2-D 'real'"),
+        (
+            '{"weights": [{"real": [[1, 0], [0, 1]], "imag": [[1]]}], "bias": 0.1}',
+            "got (2, 2) and (1, 1)",
+        ),
+        ('{"weights": [{"real": {"a": 1}}], "bias": 0.1}', "each model_file weight: "),
+    ],
+    ids=[
+        "top_level_list",
+        "weights_missing",
+        "bias_missing",
+        "real_not_2d",
+        "imag_of_another_shape",
+        "real_not_numbers",
+    ],
+)
+def test_accuracy_rejects_a_malformed_model_file(tmp_path, capsys, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(doc)
+    out = tmp_path / "a"
+    args = ["accuracy", "--set", f"model_file={path}", "--set", "n_per_class=5"]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out / "accuracy.csv").exists()
+
+
+_HEADERS = {
+    "device-sweep": "theta,il_o1_db,il_o2_db,xp_o1_dbm,xp_o2_dbm",
+    "layer-stats": ",".join(
+        ["port"]
+        + [f"{q}_{s}_{u}" for q, u in (("il", "db"), ("xp", "dbm"))
+           for s in ("min", "q1", "median", "q3", "max", "mean")]
+    ),
+    "network-stats": "n,m,il_avg_db,il_worst_db,xp_avg_dbm,xp_worst_dbm",
+    "power-penalty": "n,m,penalty_avg_dbm,penalty_worst_dbm",
+    "compile": "n,mesh_mzi_count,s_max,sigma_deficit_db",
+    "train": "epoch,loss",
+    "accuracy": "accuracy_pct,ideal_accuracy_pct,crosstalk,n_samples",
+    "loss-sweep": "axis,alpha_db,accuracy_pct",
+    "joint-sample": "alpha_l_db,alpha_m_db,alpha_prop_db,accuracy_pct",
+    "tolerance": "axis,max_alpha_db",
+    "xtalk-grid": "xb_db,xc_db,accuracy_pct",
+}
+
+# Small enough that all eleven commands run in a few seconds; n=8 because the
+# synthetic digit set has 8 classes.
+_TINY = [
+    "n=8", "m=1", "trials=2", "network_trials=1", "n_list=4", "m_list=1",
+    "n_per_class=3", "epochs=3", "theta_points=2", "sweep_points=2",
+    "n_instances=1", "xb_grid=-25", "xc_grid=-18",
+]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_command_runs_at_a_tiny_config(tmp_path, command):
+    out = tmp_path / command
+    args = [command, "--seed", "4", "--out", str(out)]
+    assert main(args + [a for pair in _TINY for a in ("--set", pair)]) == 0
+    lines = (out / f"{command}.csv").read_text().splitlines()
+    assert lines[0] == _HEADERS[command] and len(lines) >= 2
+    echo = load_config(str(out / f"{command}.config.json"))
+    assert echo == apply_overrides(
+        ExperimentConfig(), _TINY + ["seed=4", f"out_dir={out}"]
+    )
 
 
 # N=32 over 420 training samples: the trainer's temporaries are 100-215 KB, on

@@ -99,12 +99,11 @@ def test_fft_features_non_square_count_uses_most_square_block():
     assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_featurize_records_provenance():
+def test_featurize_builds_one_unit_feature_vector_per_image():
     images = Rng(3).uniform(0.0, 1.0, (4, 8, 8))
-    ds = featurize(images, [0, 1, 0, 1], 8, 2, provenance={"source": "x"})
-    assert ds.provenance["featurizer"]
-    assert ds.provenance["source"] == "x"
-    assert ds.n_features == 8
+    ds = featurize(images, [0, 1, 0, 1], 8, 2)
+    assert (ds.n_samples, ds.n_features) == (4, 8)
+    np.testing.assert_allclose(np.linalg.norm(ds.features, axis=1), 1.0, rtol=1e-12)
 
 
 def test_synthetic_digits_deterministic_and_bounded():

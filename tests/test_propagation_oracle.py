@@ -22,7 +22,7 @@ import oracle_propagation as oracle
 from spnn import propagation
 from spnn.device import MziParams
 from spnn.mesh import compile_layer
-from spnn.numerics import Rng, dbm_to_mw
+from spnn.numerics import Rng
 from spnn.propagation import (
     PropagationResult,
     NetworkSpec,
@@ -55,7 +55,7 @@ def _rng(seed):
     return None if seed is None else Rng(seed)
 
 
-def _complex_pass(layers, p, x, rng, leak_birth, launch_mw, include_gain):
+def _complex_pass(layers, p, x, rng, leak_birth, include_gain):
     """The crosstalk pass with its complex mapped leaks kept: the signal,
     every column's amplitudes from ``propagation._mapped_leaks`` stacked
     into an (N, K[, S]) bank, and the final suffix transfer."""
@@ -66,7 +66,7 @@ def _complex_pass(layers, p, x, rng, leak_birth, launch_mw, include_gain):
     bank = np.full((n, k_total, rows.shape[1]), np.nan, dtype=complex)
     suffix_t = np.eye(n, dtype=complex)
     for slots, mapped in propagation._mapped_leaks(
-        layers, p, rows, rng, leak_birth, launch_mw, include_gain, suffix_t
+        layers, p, rows, rng, leak_birth, include_gain, suffix_t
     ):
         bank[:, slots] = mapped.transpose(1, 0, 2)
     leaks = bank.reshape((n, k_total) + signal.shape[1:])
@@ -109,7 +109,7 @@ def _assert_agrees(res, ref):
 def test_network_cascade_matches_forward_push_oracle(
     n, m, samples, seed, rng_seed, leak_birth, params, launch
 ):
-    spec = NetworkSpec(_layers(n, m, seed), params, input_power_dbm=1.5)
+    spec = NetworkSpec(_layers(n, m, seed), params)
     x = None if launch else _field(n, samples, seed)
     res = network_cascade(spec, x, rng=_rng(rng_seed), leak_birth=leak_birth)
     ref = oracle.network_cascade(spec, x, rng=_rng(rng_seed), leak_birth=leak_birth)
@@ -119,7 +119,6 @@ def test_network_cascade_matches_forward_push_oracle(
         spec.launch_field() if x is None else x,
         _rng(rng_seed),
         leak_birth,
-        dbm_to_mw(spec.input_power_dbm),
         include_gain=True,
     )
     _assert_agrees(kept, ref)
@@ -147,7 +146,7 @@ def test_propagate_with_crosstalk_matches_forward_push_oracle(
         layout, params, x, rng=_rng(rng_seed), leak_birth=leak_birth
     )
     kept = _complex_pass(
-        [layout], params, x, _rng(rng_seed), leak_birth, 1.0, include_gain=False
+        [layout], params, x, _rng(rng_seed), leak_birth, include_gain=False
     )
     _assert_agrees(kept, ref)
     _assert_is_magnitude_of(res, kept)
@@ -174,7 +173,7 @@ def test_signal_passes_match_oracle_exactly(mode):
 @pytest.mark.parametrize("leak_birth", ["physical", "nominal"])
 def test_batched_samples_equal_single_sample_runs(leak_birth):
     layers = _layers(8, 2, 31)
-    spec = NetworkSpec(layers, PARAMS[1], input_power_dbm=1.5)
+    spec = NetworkSpec(layers, PARAMS[1])
     x = _field(8, 4, 31)
     runs = (
         lambda xs, rng: propagate_with_crosstalk(
