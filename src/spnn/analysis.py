@@ -428,7 +428,7 @@ def _loss_and_grads(
     # h = dL/d conj(z): for q = temp * z conj(z), dq/d conj(z) = temp * z.
     h = temp * (probs - onehot) * z_out / s
     grads = [None] * len(model.weights)
-    grads[-1] = h @ acts[-1].conj().T
+    grads[-1] = _outer_sum(h, acts[-1])
     for k in range(len(model.weights) - 2, -1, -1):
         # Back through the linear stage above this activation.
         h_a = model.weights[k + 1].conj().T @ h
@@ -439,8 +439,18 @@ def _loss_and_grads(
             f_z = np.where(alive, 1.0 - b / (2.0 * mag), 0.0)
             f_zbar = np.where(alive, b * z * z / (2.0 * mag**3), 0.0)
         h = h_a * f_z + h_a.conj() * f_zbar
-        grads[k] = h @ acts[k].conj().T
+        grads[k] = _outer_sum(h, acts[k])
     return loss, grads
+
+
+def _outer_sum(h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``h @ a^H`` (N, N) summed over fixed blocks of max(1, 2**16 // N**2)
+    samples, so that the sum does not depend on how BLAS splits it across
+    threads. The block rule is empirical: at N=32, blocks four times larger
+    still moved the last bits between one and two OpenBLAS threads."""
+    step = max(1, 2**16 // h.shape[0] ** 2)
+    a_h, blocks = a.conj().T, range(0, h.shape[1], step)
+    return sum(h[:, lo : lo + step] @ a_h[lo : lo + step] for lo in blocks)
 
 
 def train_reference(

@@ -19,6 +19,7 @@ from spnn.numerics import Rng, db_to_field, power_to_db
 
 __all__ = [
     "MziParams",
+    "LOSSLESS_MZI",
     "PhasePair",
     "mzi_cells",
     "mzi_transfer",
@@ -80,6 +81,11 @@ class MziParams:
         )
 
 
+# The 3-dB device at zero loss: its cells are the lossless T(theta, phi) of
+# spnn.mesh, and propagation's ideal mode runs on it.
+LOSSLESS_MZI = MziParams().lossless()
+
+
 @dataclass(frozen=True)
 class PhasePair:
     """Phase-shifter settings: theta in [0, pi], phi in [0, 2*pi)."""
@@ -94,33 +100,34 @@ class PhasePair:
             raise ValueError(f"phi must be in [0, 2*pi), got {self.phi}")
 
 
-def _coupler(kappa: float, a_l: float) -> np.ndarray:
-    t = math.sqrt(1.0 - kappa)
-    k = math.sqrt(kappa)
-    return a_l * np.array([[t, 1j * k], [1j * k, t]])
-
-
 def mzi_cells(p: MziParams, theta, phi) -> np.ndarray:
     """Four-factor transfer matrices T_DC2 . T_theta . T_DC1 . T_phi for
     arrays of phases: shape ``theta.shape + (2, 2)``.
 
     Each dB loss enters as a field-amplitude factor: the coupler loss on
     both couplers, the metal absorption on the phased arm of each shifter
-    section, and the propagation loss over the full device length.
+    section, and the propagation loss over the full device length. With
+    T_DC = a_l [[t, jk], [jk, t]] and T_theta = diag(u, v), the product is
+    written out entry by entry; T_phi scales column 0 by a_m e^{j phi}.
     With zero-dB losses and kappa=0.5 every matrix is unitary.
     """
     theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    a_l = db_to_field(p.alpha_l_db)
+    k1, k2 = p.kappa1, p.kappa2
+    t1t2, k1k2 = math.sqrt((1.0 - k1) * (1.0 - k2)), math.sqrt(k1 * k2)
+    k1t2, t1k2 = math.sqrt(k1 * (1.0 - k2)), math.sqrt((1.0 - k1) * k2)
     a_m = db_to_field(p.alpha_m_db)
-    a_p = db_to_field(p.propagation_db)
-    t_theta = np.zeros(theta.shape + (2, 2), dtype=complex)
-    t_theta[..., 0, 0] = a_p * a_m * np.exp(1j * theta)
-    t_theta[..., 1, 1] = a_p
-    t_phi = np.zeros(phi.shape + (2, 2), dtype=complex)
-    t_phi[..., 0, 0] = a_m * np.exp(1j * phi)
-    t_phi[..., 1, 1] = 1.0
-    return _coupler(p.kappa2, a_l) @ t_theta @ _coupler(p.kappa1, a_l) @ t_phi
+    # T_theta = diag(u, v) times both couplers' a_l. Each coupler product is
+    # one square root (exactly 1/2 at 3 dB), and flat 1-D views make one
+    # phase pair round as it does in an array.
+    v = db_to_field(p.alpha_l_db) ** 2 * db_to_field(p.propagation_db)
+    u = v * a_m * np.exp(1j * theta.ravel())
+    col0 = a_m * np.exp(1j * np.asarray(phi, dtype=float).ravel())
+    cells = np.empty((theta.size, 2, 2), dtype=complex)
+    cells[:, 0, 0] = (t1t2 * u - k1k2 * v) * col0
+    cells[:, 0, 1] = 1j * (k1t2 * u + t1k2 * v)
+    cells[:, 1, 0] = 1j * (t1k2 * u + k1t2 * v) * col0
+    cells[:, 1, 1] = t1t2 * v - k1k2 * u
+    return cells.reshape(theta.shape + (2, 2))
 
 
 def mzi_transfer(p: MziParams, ph: PhasePair) -> np.ndarray:

@@ -10,7 +10,8 @@ The lossless 2x2 cell realized by one MZI at coupling 0.5 is
     T(theta, phi) = j e^{j theta/2} [[e^{j phi} sin(theta/2),  cos(theta/2)],
                                      [e^{j phi} cos(theta/2), -sin(theta/2)]]
 
-which is what :func:`spnn.device.mzi_transfer` reduces to at zero dB loss.
+which :func:`spnn.device.mzi_cells` computes for the lossless 3-dB device
+:data:`spnn.device.LOSSLESS_MZI`.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spnn.device import LOSSLESS_MZI, mzi_cells
 from spnn.numerics import _member, svd, unitarity_residual
 
 __all__ = [
     "Mesh",
     "LayerLayout",
-    "lossless_cells",
     "clements_decompose",
     "clements_reconstruct",
     "compile_layers",
@@ -107,20 +108,6 @@ class LayerLayout:
         """Power-budget line for the Sigma normalization: -20*log10(s_max)
         when s_max < 1 (extra required gain), negative when s_max > 1."""
         return -20.0 * math.log10(self.s_max)
-
-
-def lossless_cells(theta, phi) -> np.ndarray:
-    """Lossless cells T(theta, phi) for arrays of phases: shape
-    ``theta.shape + (2, 2)``."""
-    half = np.asarray(theta, dtype=float) / 2.0
-    s, c = np.sin(half), np.cos(half)
-    ephi = np.exp(1j * np.asarray(phi, dtype=float))
-    cells = np.empty(half.shape + (2, 2), dtype=complex)
-    cells[..., 0, 0] = ephi * s
-    cells[..., 0, 1] = c
-    cells[..., 1, 0] = ephi * c
-    cells[..., 1, 1] = -s
-    return (1j * np.exp(1j * half))[..., None, None] * cells
 
 
 def _wrap_phi(phi):
@@ -348,7 +335,7 @@ def clements_reconstruct(
         raise ValueError("n must be >= 1")
     if len(mesh) != n * (n - 1) // 2:
         raise ValueError(f"expected {n * (n - 1) // 2} MZIs for n={n}, got {len(mesh)}")
-    cells = lossless_cells(mesh.theta, mesh.phi)
+    cells = mzi_cells(LOSSLESS_MZI, mesh.theta, mesh.phi)
     m = np.eye(n, dtype=complex)
     for col, pairs in _schedule(n).columns:
         c = np.eye(n, dtype=complex)

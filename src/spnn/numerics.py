@@ -18,7 +18,6 @@ __all__ = [
     "db_to_power",
     "power_to_db",
     "mw_to_dbm",
-    "dbm_to_mw",
     "svd",
     "fft2d",
     "random_unitary",
@@ -55,10 +54,6 @@ def mw_to_dbm(p_mw):
     p_mw = np.asarray(p_mw, dtype=float)
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(p_mw)
-
-
-def dbm_to_mw(p_dbm):
-    return 10.0 ** (np.asarray(p_dbm, dtype=float) / 10.0)
 
 
 # --------------------------------------------------------------------------

@@ -25,17 +25,16 @@ phases are drawn only where leaks are resolved.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.device import MziParams, crosstalk_coefficient, mzi_cells
+from spnn.device import LOSSLESS_MZI, MziParams, crosstalk_coefficient, mzi_cells
 # Not called here: perfbench/test_perfbench.py's
 # test_shim_wraps_importers_and_restores_every_function checks it is wrapped here.
 from spnn.device import mzi_transfer  # noqa: F401
-from spnn.mesh import LayerLayout, _schedule, lossless_cells
+from spnn.mesh import LayerLayout, _schedule
 from spnn.numerics import Rng, db_to_field
 
 __all__ = [
@@ -100,41 +99,34 @@ class NetworkSpec:
 # Core engine
 # --------------------------------------------------------------------------
 
-def _stages(layout: LayerLayout, p: MziParams, mode: str, gain: bool) -> list:
+def _stages(layout: LayerLayout, p: MziParams, gain: bool) -> list:
     """One layer in light order as two stages (theta, cells, factors): the
     V^H mesh, then its phase screen and each port's Sigma through-field; the
     U mesh, then its phase screen and, with ``gain``, the OGU gain GAIN_DB
     and NAU loss NAU_LOSS_DB. A factor scales the rows per port (N, 1) or
     as a whole."""
     sigma = layout.sigma_stage
-    if mode == "ideal":
-        cells = lossless_cells
-        through = np.array([math.sin(t / 2.0) for t in sigma.theta.tolist()], complex)
-    elif mode == "lossy":
-        cells = functools.partial(mzi_cells, p)
-        through = mzi_cells(p, sigma.theta, sigma.phi)[:, 0, 0]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    through = mzi_cells(p, sigma.theta, sigma.phi)[:, 0, 0]
     v, u = layout.v_mesh, layout.u_mesh
     v_factors = [np.exp(1j * layout.v_screen)[:, None], through[:, None]]
     u_factors = [np.exp(1j * layout.u_screen)[:, None]]
     if gain:
         u_factors.append(db_to_field(NAU_LOSS_DB - GAIN_DB))
     return [
-        (v.theta, cells(v.theta, v.phi), v_factors),
-        (u.theta, cells(u.theta, u.phi), u_factors),
+        (v.theta, mzi_cells(p, v.theta, v.phi), v_factors),
+        (u.theta, mzi_cells(p, u.theta, u.phi), u_factors),
     ]
 
 
 def _signal_pass(
-    layers: list[LayerLayout], p: MziParams, signal: np.ndarray, mode: str
+    layers: list[LayerLayout], p: MziParams, signal: np.ndarray
 ) -> np.ndarray:
     """Crosstalk-free propagation without gain; mutates ``signal`` (N, ...)
     in place."""
     rows = signal.reshape(signal.shape[0], -1)
     columns = _schedule(layers[0].n).columns
     for layout in layers:
-        for _, cells, factors in _stages(layout, p, mode, gain=False):
+        for _, cells, factors in _stages(layout, p, gain=False):
             for col, pairs in columns:
                 rows[pairs] = cells[col] @ rows[pairs]
             for f in factors:
@@ -176,9 +168,7 @@ def _mapped_leaks(layers, p, rows, rng, leak_birth, include_gain, suffix_t):
     mesh column, its slice of the K leak slots and its leaks mapped to the
     output, a (c, N, B) complex temporary. Both passes take one mesh column
     per step."""
-    stages = [
-        stage for lay in layers for stage in _stages(lay, p, "lossy", include_gain)
-    ]
+    stages = [stage for lay in layers for stage in _stages(lay, p, include_gain)]
     columns = _schedule(layers[0].n).columns
     k_total = sum(len(theta) for theta, _, _ in stages)
     born = np.empty((k_total, 2, rows.shape[1]), dtype=complex)
@@ -218,6 +208,14 @@ def _mapped_leaks(layers, p, rows, rng, leak_birth, include_gain, suffix_t):
             suffix_t[pairs] = cells[col].transpose(0, 2, 1) @ pair
 
 
+def _device(p: MziParams, mode: str) -> MziParams:
+    """The device a ``mode`` propagates on: ``p`` when lossy, the lossless
+    3-dB device when ideal."""
+    if mode not in ("ideal", "lossy"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return LOSSLESS_MZI if mode == "ideal" else p
+
+
 def _as_field_array(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim == 0 or x.shape[0] != n:
@@ -231,11 +229,11 @@ def propagate_signal(
     x: np.ndarray,
     mode: str = "lossy",
 ) -> np.ndarray:
-    """OIU-only propagation (no crosstalk, no gain). ``ideal`` mode uses
-    zero-dB losses so the result is exactly ``(w / s_max) @ x``; ``lossy``
-    applies the full device model per placement.
+    """OIU-only propagation (no crosstalk, no gain). ``ideal`` mode runs on
+    the lossless 3-dB device, so the result is ``(w / s_max) @ x`` to
+    rounding; ``lossy`` applies the full device model per placement.
     """
-    return _signal_pass([layout], p, _as_field_array(x, layout.n), mode)
+    return _signal_pass([layout], _device(p, mode), _as_field_array(x, layout.n))
 
 
 def propagate_with_crosstalk(
@@ -285,7 +283,7 @@ def transfer_matrix(
     mode: str = "lossy",
 ) -> np.ndarray:
     """End-to-end transfer matrix of the cascade (crosstalk and gain off)."""
-    return _signal_pass(layers, p, np.eye(layers[0].n, dtype=complex), mode)
+    return _signal_pass(layers, _device(p, mode), np.eye(layers[0].n, dtype=complex))
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.mesh import TWO_PI, Mesh, lossless_cells
+from spnn.mesh import TWO_PI, Mesh
 from spnn.numerics import unitarity_residual
 
 
@@ -35,7 +35,11 @@ class PlacedMesh(Mesh):
 
 
 def lossless_cell(theta: float, phi: float) -> np.ndarray:
-    return lossless_cells(theta, phi)
+    """The lossless cell T(theta, phi) as the :mod:`spnn.mesh` docstring
+    writes it."""
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    ephi = np.exp(1j * phi)
+    return 1j * np.exp(0.5j * theta) * np.array([[ephi * s, c], [ephi * c, -s]])
 
 
 def is_unitary(m: np.ndarray, tol: float) -> bool:

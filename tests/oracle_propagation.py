@@ -16,13 +16,14 @@ import numpy as np
 
 import oracle_clements
 from spnn.device import (
+    LOSSLESS_MZI,
     MziParams,
     PhasePair,
     crosstalk_coefficient,
     crosstalk_mean_db,
     mzi_transfer,
 )
-from spnn.mesh import LayerLayout, Mesh, lossless_cells
+from spnn.mesh import LayerLayout, Mesh
 from spnn.numerics import Rng, db_to_field
 from spnn.propagation import GAIN_DB, NAU_LOSS_DB, NetworkSpec, PropagationResult
 
@@ -54,15 +55,12 @@ def _mesh_columns(mesh: Mesh, n: int) -> list[list[tuple[int, PhasePair]]]:
     return [cols[c] for c in sorted(cols)]
 
 
-def _sigma_factors(layout: LayerLayout, p: MziParams, mode: str) -> np.ndarray:
+def _sigma_factors(layout: LayerLayout, p: MziParams) -> np.ndarray:
     factors = np.empty(layout.n, dtype=complex)
     sigma = layout.sigma_stage
     for j in range(len(sigma)):
         phases = PhasePair(float(sigma.theta[j]), float(sigma.phi[j]))
-        if mode == "ideal":
-            factors[j] = math.sin(phases.theta / 2.0)
-        else:
-            factors[j] = mzi_transfer(p, phases)[0, 0]
+        factors[j] = mzi_transfer(p, phases)[0, 0]
     return factors
 
 
@@ -85,7 +83,8 @@ class _LayerEngine:
             raise ValueError(f"unknown leak_birth {leak_birth!r}")
         self.layout = layout
         self.p = p
-        self.mode = mode
+        # Ideal mode is the lossless 3-dB device, one MZI at a time.
+        self.cell_params = LOSSLESS_MZI if mode == "ideal" else p
         self.rng = rng
         self.crosstalk = crosstalk
         self.leak_birth = leak_birth
@@ -94,10 +93,7 @@ class _LayerEngine:
     def _cell(self, phases) -> np.ndarray:
         key = (phases.theta, phases.phi)
         if key not in self._cell_cache:
-            if self.mode == "ideal":
-                self._cell_cache[key] = lossless_cells(phases.theta, phases.phi)
-            else:
-                self._cell_cache[key] = mzi_transfer(self.p, phases)
+            self._cell_cache[key] = mzi_transfer(self.cell_params, phases)
         return self._cell_cache[key]
 
     def _draw_x(self, theta: float) -> float:
@@ -146,7 +142,7 @@ class _LayerEngine:
             if role == "v":
                 screen = np.exp(1j * self.layout.v_screen)
                 self._broadcast(signal, leaks, screen)
-                sig = _sigma_factors(self.layout, self.p, self.mode)
+                sig = _sigma_factors(self.layout, self.cell_params)
                 self._broadcast(signal, leaks, sig)
             else:
                 screen = np.exp(1j * self.layout.u_screen)
@@ -173,9 +169,9 @@ def propagate_signal(
     x: np.ndarray,
     mode: str = "lossy",
 ) -> np.ndarray:
-    """OIU-only propagation (no crosstalk, no gain). ``ideal`` mode uses
-    zero-dB losses so the result is exactly ``(w / s_max) @ x``; ``lossy``
-    applies the full device model per placement.
+    """OIU-only propagation (no crosstalk, no gain). ``ideal`` mode runs on
+    the lossless 3-dB device, so the result is ``(w / s_max) @ x`` to
+    rounding; ``lossy`` applies the full device model per placement.
     """
     signal = _as_field_array(x, layout.n)
     engine = _LayerEngine(layout, p, mode)

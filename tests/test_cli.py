@@ -337,14 +337,21 @@ def test_main_runs_where_mallopt_is_missing(tmp_path, monkeypatch, cdll):
     assert (tmp_path / "bare" / "train.csv").read_bytes() == normal
 
 
+def _child_env(blas_threads: int) -> dict:
+    """The environment of a child process that imports this ``spnn`` and runs
+    OpenBLAS on ``blas_threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(spnn.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_train_loss_curve_does_not_depend_on_the_heap_thresholds(tmp_path):
     """Two fresh processes, one through ``main`` as the CLI runs it and one
     whose ``ctypes.CDLL`` fails, so its allocator keeps glibc's defaults,
     write the same loss-curve bytes."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(spnn.__file__).parents[1]), env.get("PYTHONPATH")) if p
-    )
+    env = _child_env(1)
     run = (
         "import ctypes, sys\n"
         "if sys.argv[1] == 'bare':\n"
@@ -361,11 +368,36 @@ def test_train_loss_curve_does_not_depend_on_the_heap_thresholds(tmp_path):
     assert (tmp_path / "bare" / "train.csv").read_bytes() == curve
 
 
+def test_trained_weights_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The N=32 trainer in two fresh processes, at one and at two OpenBLAS
+    threads, writes the same model bytes."""
+    for threads in (1, 2):
+        argv = [sys.executable, "-m", "spnn.cli"] + _TRAIN
+        argv += ["--set", "epochs=3", "--out", str(tmp_path / str(threads))]
+        subprocess.run(
+            argv, env=_child_env(threads), check=True, capture_output=True, timeout=120
+        )
+    model = (tmp_path / "1" / "model.json").read_bytes()
+    assert (tmp_path / "2" / "model.json").read_bytes() == model
+
+
 def test_compile_emits_layout(tmp_path):
     out = tmp_path / "c"
     assert main(["compile", "--out", str(out), "--set", "n=4", "--seed", "5"]) == 0
     layout = json.loads((out / "layout.json").read_text())
     assert layout["n"] == 4
+
+
+def test_accuracy_rejects_a_model_of_another_port_count(tmp_path, capsys):
+    eye = {"real": np.eye(2).tolist(), "imag": np.zeros((2, 2)).tolist()}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"weights": [eye, eye], "bias": 0.1}))
+    out = tmp_path / "a"
+    args = ["accuracy", "--set", f"model_file={path}", "--set", "n_per_class=5"]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model_file ") and "n_features=8" in err
+    assert not (out / "accuracy.csv").exists()
 
 
 def test_accuracy_command_end_to_end(tmp_path):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_clements
 from spnn.device import (
+    LOSSLESS_MZI,
     MziParams,
     PhasePair,
     crosstalk_coefficient,
@@ -19,7 +21,7 @@ from spnn.device import (
     output_insertion_loss,
 )
 from spnn.mesh import compile_layer
-from spnn.numerics import Rng, unitarity_residual
+from spnn.numerics import Rng, db_to_field, unitarity_residual
 
 LOSSLESS = MziParams().lossless()
 
@@ -58,6 +60,57 @@ def test_mzi_cells_on_arrays_equal_per_mzi_transfer():
     for idx in np.ndindex(theta.shape):
         t = mzi_transfer(p, PhasePair(float(theta[idx]), float(phi[idx])))
         assert cells[idx].tobytes() == t.tobytes()
+
+
+def _four_factor_cell(p: MziParams, theta: float, phi: float) -> np.ndarray:
+    """Reference T_DC2 . T_theta . T_DC1 . T_phi as four 2x2 matrices."""
+    a_l, a_m, a_p = (
+        db_to_field(db) for db in (p.alpha_l_db, p.alpha_m_db, p.propagation_db)
+    )
+
+    def coupler(kappa):
+        t, k = math.sqrt(1.0 - kappa), math.sqrt(kappa)
+        return a_l * np.array([[t, 1j * k], [1j * k, t]])
+
+    t_theta = np.diag([a_p * a_m * np.exp(1j * theta), a_p])
+    t_phi = np.diag([a_m * np.exp(1j * phi), 1.0])
+    return coupler(p.kappa2) @ t_theta @ coupler(p.kappa1) @ t_phi
+
+
+_THETA = st.floats(min_value=0.0, max_value=math.pi)
+_PHI = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=20.0),
+    _THETA,
+    _PHI,
+)
+@settings(max_examples=200, deadline=None)
+def test_mzi_cells_equal_the_four_factor_product(
+    kappa1, kappa2, alpha_l_db, alpha_m_db, alpha_p_db_per_cm, theta, phi
+):
+    p = MziParams(
+        kappa1=kappa1,
+        kappa2=kappa2,
+        alpha_l_db=alpha_l_db,
+        alpha_m_db=alpha_m_db,
+        alpha_p_db_per_cm=alpha_p_db_per_cm,
+    )
+    cell = mzi_cells(p, theta, phi)
+    assert np.max(np.abs(cell - _four_factor_cell(p, theta, phi))) <= 1e-14
+
+
+@given(_THETA, _PHI)
+@settings(max_examples=100, deadline=None)
+def test_lossless_device_cell_is_the_clements_cell(theta, phi):
+    cell = mzi_cells(LOSSLESS_MZI, theta, phi)
+    assert np.max(np.abs(cell - oracle_clements.lossless_cell(theta, phi))) <= 1e-14
+    assert unitarity_residual(cell) < 1e-14
 
 
 def test_lossy_transfer_is_subunitary():

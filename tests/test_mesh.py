@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle_clements as oracle
+from spnn.device import LOSSLESS_MZI, mzi_cells
 from spnn.mesh import (
     LayerLayout,
     Mesh,
@@ -22,7 +23,6 @@ from spnn.mesh import (
     compile_layer,
     compile_layers,
     layout_to_json,
-    lossless_cells,
 )
 from spnn.numerics import Rng, random_unitary
 
@@ -249,22 +249,12 @@ def test_oracle_unitarity_check():
 
 def test_lossless_cell_matches_reconstruction_convention():
     theta, phi = 0.9, 2.3
-    cell = lossless_cells(theta, phi)
+    cell = mzi_cells(LOSSLESS_MZI, theta, phi)
     assert cell.shape == (2, 2)
     # Unitary and with the expected |entries| from the half-angle form.
     assert np.max(np.abs(cell @ cell.conj().T - np.eye(2))) < 1e-12
     assert abs(cell[0, 0]) == pytest.approx(math.sin(theta / 2.0))
     assert abs(cell[0, 1]) == pytest.approx(math.cos(theta / 2.0))
-
-
-def test_lossless_cells_on_arrays_equal_per_cell():
-    r = Rng(4)
-    theta = r.uniform(0.0, math.pi, 9)
-    phi = r.uniform(0.0, 2.0 * math.pi, 9)
-    cells = lossless_cells(theta, phi)
-    assert cells.shape == (9, 2, 2)
-    for k in range(9):
-        assert cells[k].tobytes() == lossless_cells(theta[k], phi[k]).tobytes()
 
 
 def test_sigma_stage_normalizes_to_unity():
