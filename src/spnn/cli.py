@@ -134,8 +134,8 @@ def _complex_matrix(doc, what: str) -> np.ndarray:
     return real + 1j * imag
 
 
-def _load_model(path: str, n: int) -> ComplexMlp:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_model(cfg: ExperimentConfig) -> ComplexMlp:
+    with open(cfg.model_file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not (
         isinstance(doc, dict)
@@ -144,8 +144,14 @@ def _load_model(path: str, n: int) -> ComplexMlp:
     ):
         raise ValueError("model_file must hold a JSON object with 'weights' and 'bias'")
     weights = [_complex_matrix(w, "each model_file weight") for w in doc["weights"]]
+    n = cfg.n_features
     if any(w.shape != (n, n) for w in weights):
         raise ValueError(f"model_file weights must be {n}x{n} to match n_features={n}")
+    if (n, len(weights)) != (cfg.n, cfg.m):
+        raise ValueError(
+            f"model_file has {n} ports and {len(weights)} layers, "
+            f"but n={cfg.n} and m={cfg.m}"
+        )
     return ComplexMlp(weights, bias=float(doc["bias"]))
 
 
@@ -163,7 +169,7 @@ def _train(cfg: ExperimentConfig, train_set: FeatureDataset) -> TrainResult:
 
 def _trained_model(cfg: ExperimentConfig, train_set: FeatureDataset) -> ComplexMlp:
     if cfg.model_file:
-        return _load_model(cfg.model_file, cfg.n_features)
+        return _load_model(cfg)
     return _train(cfg, train_set).model
 
 

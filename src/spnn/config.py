@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -159,7 +160,7 @@ def _coerce(name: str, value):
     if target == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ValueError(f"field {name!r} expects a number, got {value!r}")
-        return float(value)
+        return _finite(name, float(value))
     if target == "str":
         if not isinstance(value, str):
             raise ValueError(f"field {name!r} expects a string, got {value!r}")
@@ -170,7 +171,13 @@ def _coerce(name: str, value):
     if not isinstance(value, list):
         raise ValueError(f"field {name!r} expects a list, got {value!r}")
     elem = int if name in ("n_list", "m_list") else float
-    return [elem(v) for v in value]
+    return [_finite(name, elem(v)) for v in value]
+
+
+def _finite(name: str, value):
+    if not math.isfinite(value):
+        raise ValueError(f"field {name!r} expects a finite number, got {value!r}")
+    return value
 
 
 def config_from_mapping(mapping: dict, source: str = "<config>") -> ExperimentConfig:

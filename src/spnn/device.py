@@ -59,14 +59,14 @@ class MziParams:
                 raise ValueError(f"{name} must be in [0, 1], got {k}")
         for name in ("alpha_l_db", "alpha_m_db", "alpha_p_db_per_cm", "l_mzi_um"):
             v = getattr(self, name)
-            if v < 0:
+            if not v >= 0:
                 raise ValueError(f"{name} must be >= 0 dB, got {v}")
         if not (self.xb_db <= self.xc_db <= 0.0):
             raise ValueError(
                 f"crosstalk ordering violated: need xb_db <= xc_db <= 0, "
                 f"got xb_db={self.xb_db}, xc_db={self.xc_db}"
             )
-        if self.xtalk_sigma_frac < 0:
+        if not self.xtalk_sigma_frac >= 0:
             raise ValueError("xtalk_sigma_frac must be >= 0")
 
     @property
@@ -94,10 +94,19 @@ class PhasePair:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < TWO_PI + 1e-12:
-            raise ValueError(f"phi must be in [0, 2*pi), got {self.phi}")
+        _check_phases(self.theta, self.phi)
+
+
+def _check_phases(theta, phi=()) -> None:
+    """Rejects, listing the offending values, a theta outside [0, pi] or a
+    phi outside [0, 2*pi), each with 1e-12 of slack; NaN fails both."""
+    theta, phi = np.asarray(theta), np.asarray(phi)
+    ok = (theta >= 0.0) & (theta <= math.pi + 1e-12)
+    if not ok.all():
+        raise ValueError(f"theta must be in [0, pi], got {theta[~ok]}")
+    ok = (phi >= 0.0) & (phi < TWO_PI + 1e-12)
+    if not ok.all():
+        raise ValueError(f"phi must be in [0, 2*pi), got {phi[~ok]}")
 
 
 def mzi_cells(p: MziParams, theta, phi) -> np.ndarray:
@@ -152,12 +161,7 @@ def crosstalk_mean_db(p: MziParams, theta):
     """Deterministic crosstalk coefficient: linear in theta from the
     Cross-state value at theta=0 to the Bar-state value at theta=pi.
     ``theta`` may be an ndarray."""
-    if isinstance(theta, np.ndarray):
-        ok = np.all((theta >= 0.0) & (theta <= math.pi + 1e-12))
-    else:
-        ok = 0.0 <= theta <= math.pi + 1e-12
-    if not ok:
-        raise ValueError(f"theta must be in [0, pi], got {theta}")
+    _check_phases(theta)
     return (p.xb_db - p.xc_db) / math.pi * theta + p.xc_db
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spnn.device import LOSSLESS_MZI, mzi_cells
+from spnn.device import LOSSLESS_MZI, _check_phases, mzi_cells
 from spnn.numerics import _member, svd, unitarity_residual
 
 __all__ = [
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Largest unitarity residual clements_decompose accepts.
+_UNITARY_TOL = 1e-8
+# (-sigma, sigma) of a nulling step by its left flag: sigma is -1 for a left
+# nulling and +1 for a right one.
+_SIGNS = {True: np.array([[1.0], [-1.0]]), False: np.array([[-1.0], [1.0]])}
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,12 +59,7 @@ class Mesh:
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
         if len(self.theta) != len(self.phi):
             raise ValueError("mesh arrays must have equal lengths")
-        ok = (self.theta >= 0.0) & (self.theta <= math.pi + 1e-12)
-        if not ok.all():
-            raise ValueError(f"theta must be in [0, pi], got {self.theta[~ok]}")
-        ok = (self.phi >= 0.0) & (self.phi < TWO_PI + 1e-12)
-        if not ok.all():
-            raise ValueError(f"phi must be in [0, 2*pi), got {self.phi[~ok]}")
+        _check_phases(self.theta, self.phi)
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -178,75 +178,64 @@ def _schedule(n: int) -> _Schedule:
     return _Schedule(tuple(steps), right, left, tuple(folds), order, column, row, cols)
 
 
-def _null(v: np.ndarray, steps) -> np.ndarray:
+def _null(v: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     """Run the nulling ``steps`` in place on a stack held as v (N, N, B),
-    leaving each matrix diagonal. Returns each step's pair (a, b) before
-    the step (steps, 2, B): for a right nulling a = v[index, mode] and
-    b = v[index, mode+1], for a left one a = v[mode, index] and
-    b = v[mode+1, index].
+    leaving each matrix diagonal. Returns each step's theta/2 and e, both
+    (steps, B).
 
-    A right nulling applies T(theta, phi)^H to columns (x, y) with theta =
-    2 atan2(|b|, |a|) and e^{j phi} = -u_a u_b^*; a left one applies T to
-    rows (x, y) with theta = 2 atan2(|a|, |b|) and e^{j phi} = u_a^* u_b
-    (u = z/|z|). phi is 0 where |a| or |b| is below 1e-300. With s, c =
-    sin, cos(theta/2), both updates take the form x <- p e s x + p q0 y,
-    y <- p e c x + p q1 y, with (B,) coefficients set below."""
-    b = v.shape[-1]
-    pairs = np.empty((len(steps), 2, b), dtype=complex)
-    sc = np.zeros((2, b), dtype=complex)  # (s, c), real
-    q = np.zeros((2, b), dtype=complex)  # real
-    p = np.empty(b, dtype=complex)
+    A left nulling applies T(theta, phi) to rows (x, y) = (mode, mode+1)
+    to null entry (mode+1, index); a right one applies T(theta, phi)^H to
+    columns (mode, mode+1) to null entry (index, mode), and those columns
+    are rows of the transposed view ``v.transpose(1, 0, 2)``. With a, b the
+    step's pair x[index], y[index] in its view before the step, u = z/|z|
+    and e = u_a^* u_b: a left has theta = 2 atan2(|a|, |b|) and e^{j phi} =
+    e, a right theta = 2 atan2(|b|, |a|) and e^{j phi} = -e^*. With sigma
+    = -1 for a left and +1 for a right, e is -sigma (phi = 0) where |a| or
+    |b| is below 1e-300. With s, c = sin, cos(theta/2) and p = sigma s + jc
+    both updates are x <- p (e s x - sigma c y), y <- p (e c x + sigma s y).
+    """
+    vt = v.transpose(1, 0, 2)
+    half = np.empty((len(steps), v.shape[-1]))
+    e = np.empty(half.shape, dtype=complex)
+    sc = np.zeros((2, v.shape[-1]), dtype=complex)  # (s, c), real
+    q = np.zeros_like(sc)  # (-sigma c, sigma s), real
+    p = np.empty(v.shape[-1], dtype=complex)
+    # Views made once: the loop's cost is numpy call overhead.
+    (s_out, c_out), cs, q_re = sc.real, sc.real[::-1], q.real
     for k, (left, mode, index) in enumerate(steps):
-        if left:
-            slab = v[mode : mode + 2]  # rows x, y: (2, N, B)
-            pair = slab[:, index]
-        else:
-            slab = v[:, mode : mode + 2]  # columns x, y: (N, 2, B)
-            pair = slab[index]
-        pairs[k] = pair
+        sign = _SIGNS[left]
+        slab = (v if left else vt)[mode : mode + 2]  # rows x, y: (2, N, B)
+        pair = slab[:, index]
         mag = np.abs(pair)
-        half = np.arctan2(mag[0], mag[1]) if left else np.arctan2(mag[1], mag[0])
-        s = np.sin(half, out=sc.real[0])
-        c = np.cos(half, out=sc.real[1])
+        a, b = mag[0], mag[1]
+        h = np.arctan2(*((a, b) if left else (b, a)), out=half[k])
+        np.sin(h, out=s_out)
+        c = np.cos(h, out=c_out)
         unit = pair / mag
-        e = unit[1] * unit[0].conj()
-        # Left: T = g [[e s, c], [e c, -s]] with p = g = -s + jc, so
-        # (q0, q1) = (c, -s). Right: T^H columns give x <- g^* (e^* s x +
-        # c y), y <- g^* (e^* c x - s y) with e^* = -e; p = -g^* = s + jc
-        # takes the sign, so (q0, q1) = (-c, s) and a dead pair has e = -1.
-        np.copyto(e, 1.0 if left else -1.0, where=np.minimum(mag[0], mag[1]) < 1e-300)
-        p.imag = c
-        if left:
-            np.negative(s, out=p.real)
-            q.real[0] = c
-            np.negative(s, out=q.real[1])
-        else:
-            p.real = s
-            np.negative(c, out=q.real[0])
-            q.real[1] = s
-        x_coef = (p * e) * sc
-        y_coef = p * q
-        if left:
-            new = x_coef[:, None] * slab[:1]
-            new += y_coef[:, None] * slab[1:]
-        else:
-            new = slab[:, :1] * x_coef
-            new += slab[:, 1:] * y_coef
+        ek = np.multiply(unit[1], unit[0].conj(), out=e[k])
+        np.copyto(ek, sign[0], where=np.minimum(a, b) < 1e-300)
+        # Left: T = p [[e s, c], [e c, -s]], p = j e^{j theta/2}. Right: T^H
+        # = g^* [[-e s, -e c], [c, -s]] with g = j e^{j theta/2}; p = -g^*.
+        np.multiply(cs, sign, out=q_re)
+        p.real, p.imag = q_re[1], c
+        new = ((p * ek) * sc)[:, None] * slab[:1]
+        new += (p * q)[:, None] * slab[1:]
         slab[...] = new
-    return pairs
+    return half, e
 
 
-def _fold(theta, phi, d: np.ndarray, folds) -> np.ndarray:
+def _fold(theta, e, d: np.ndarray, folds) -> np.ndarray:
     """Rewrite each left factor's inverse T(theta, phi)^{-1} @ diag(d0, d1)
     as diag(d0', d1') @ T(theta, phi'), last left first, column by column.
     The push-through keeps theta (Clements et al., Optica 3, 1460, 2016);
     with r = -e^{-j theta}: e^{j phi'} = d0/d1, d0' = r e^{-j phi} d1 and
     d1' = r d1. Where sin or cos(theta/2) is at most 1e-12 (bar- or
     cross-like) phi' is 0, and d1' (bar-like) or d0' (cross-like) takes d0
-    in place of d1. ``theta``, ``phi`` (L, B) are the lefts'; ``d`` (N, B)
-    is updated in place. Returns e^{j phi'} (L, B) by fold position."""
-    r_phi = -np.exp(-1j * (theta + phi))
+    in place of d1. ``theta`` and ``e`` = e^{j phi} (L, B) are the lefts',
+    as the nulling leaves them; ``d`` (N, B) is updated in place. Returns
+    e^{j phi'} (L, B) by fold position."""
     r = -np.exp(-1j * theta)
+    r_phi = r * e.conj()
     bar, cross = np.sin(theta / 2.0) <= 1e-12, np.cos(theta / 2.0) <= 1e-12
     ephi = np.empty(theta.shape, dtype=complex)
     for pos, lefts, ms in folds:
@@ -257,7 +246,7 @@ def _fold(theta, phi, d: np.ndarray, folds) -> np.ndarray:
     return ephi
 
 
-def clements_decompose(u: np.ndarray, tol: float = 1e-8):
+def clements_decompose(u: np.ndarray):
     """Rectangular-mesh decomposition of a unitary, or of a stack of them.
 
     For an (N, N) unitary returns a mesh of exactly N(N-1)/2 MZIs plus a
@@ -278,12 +267,12 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8):
         )
     b, n = us.shape[:2]
     resid = unitarity_residual(us)
-    bad = np.flatnonzero(~(resid < tol))
+    bad = np.flatnonzero(~(resid < _UNITARY_TOL))
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"input is not unitary: residual {resid[i]:.3e} exceeds tol {tol:g}"
-            f"{_member(i, b)}"
+            f"input is not unitary: residual {resid[i]:.3e} exceeds tol "
+            f"{_UNITARY_TOL:g}{_member(i, b)}"
         )
 
     sched = _schedule(n)
@@ -291,32 +280,24 @@ def clements_decompose(u: np.ndarray, tol: float = 1e-8):
     # Zero amplitudes divide by zero in the nulling branches their masks
     # discard.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pairs = _null(v, sched.steps)
+        half, e = _null(v, sched.steps)
         d = np.diagonal(v).T.copy()  # (N, B)
         v[np.arange(n), np.arange(n)] = 0.0
         off = np.abs(v).max(axis=(0, 1), initial=0.0)
-        bad = np.flatnonzero(~(off <= 1e3 * tol))
+        bad = np.flatnonzero(~(off <= 1e3 * _UNITARY_TOL))
         if bad.size:
             raise ValueError(f"nulling did not reach diagonal form{_member(bad[0], b)}")
-
-        # As (p0, p1) = (a, -b) for a right nulling and (b, a) for a left one,
-        # theta = 2 atan2(|p1|, |p0|) and phi = arg(p0) - arg(p1) for both.
-        pairs[sched.right, 1] *= -1.0
-        pairs[sched.left] = pairs[sched.left, ::-1]
-        mag = np.abs(pairs)
-        theta = 2.0 * np.arctan2(mag[:, 1], mag[:, 0])
-        phi = _wrap_phi(np.angle(pairs[:, 0]) - np.angle(pairs[:, 1]))
-        phi[np.minimum(mag[:, 0], mag[:, 1]) < 1e-300] = 0.0
+        theta = 2.0 * half
 
         # U = L1^-1 ... Lp^-1 D Rq ... R1; fold each left inverse through
         # the diagonal, last first, so everything becomes screen @ (ordinary
         # MZI factors) and the folded factors apply after the rights.
-        fold_ephi = _fold(theta[sched.left], phi[sched.left], d, sched.folds)
+        fold_ephi = _fold(theta[sched.left], e[sched.left], d, sched.folds)
     right = sched.right
     thetas = np.concatenate([theta[right], theta[sched.left[::-1]]])[sched.order]
-    phis = np.concatenate([phi[right], _wrap_phi(np.angle(fold_ephi))])[sched.order]
+    phis = np.concatenate([math.pi - np.angle(e[right]), np.angle(fold_ephi)])
     thetas = np.ascontiguousarray(np.minimum(thetas, math.pi).T)
-    phis = np.ascontiguousarray(phis.T)
+    phis = np.ascontiguousarray(_wrap_phi(phis[sched.order]).T)
     screens = np.ascontiguousarray(np.angle(d).T)
     meshes = [Mesh(t, p) for t, p in zip(thetas, phis)]
     return (meshes[0], screens[0]) if single else (meshes, screens)

@@ -420,3 +420,48 @@ def test_accuracy_command_end_to_end(tmp_path):
     assert 0.0 <= float(acc) <= 100.0
     assert xtalk == "false"
     assert int(n) > 0
+
+
+@pytest.mark.parametrize(
+    "command, sizes, pair",
+    [
+        ("layer-stats", ["trials=3"], "alpha_l_db=nan"),
+        ("layer-stats", ["trials=3"], "launch_power_dbm=nan"),
+        (
+            "power-penalty",
+            ["n_list=4", "m_list=1", "network_trials=1"],
+            "sensitivity_dbm=inf",
+        ),
+        ("compile", ["n=2"], "xb_grid=-30,nan"),
+        ("compile", ["n=2"], "alpha_p_db_per_cm=inf"),
+    ],
+)
+def test_non_finite_config_values_are_rejected(tmp_path, capsys, command, sizes, pair):
+    out = tmp_path / "o"
+    sets = [a for p in [*sizes, pair] for a in ("--set", p)]
+    assert main([command, "--out", str(out), *sets]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(pair.partition("=")[0]) in err
+    assert not out.exists()
+
+
+def test_a_config_file_with_a_non_finite_value_is_rejected(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"alpha_m_db": NaN, "xc_grid": [-18, Infinity]}')
+    assert main(["compile", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "'alpha_m_db' expects a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", [["n=16"], ["m=5"], ["n=16", "m=5"]])
+def test_accuracy_rejects_a_model_of_another_shape_than_n_and_m(tmp_path, capsys, pairs):
+    eye = {"real": np.eye(8).tolist()}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"weights": [eye, eye], "bias": 0.1}))
+    out = tmp_path / "a"
+    args = ["accuracy", "--set", f"model_file={path}", "--set", "n_per_class=5"]
+    args += [a for p in pairs for a in ("--set", p)]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model_file ") and "8 ports and 2 layers" in err
+    assert all(p in err for p in pairs)
+    assert not (out / "accuracy.csv").exists()

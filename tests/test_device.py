@@ -1,7 +1,9 @@
 """Device-level tests: routing states, lossless unitarity, crosstalk
 split conservation, and the statistical crosstalk coefficient."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from spnn.device import (
     mzi_with_crosstalk,
     output_insertion_loss,
 )
-from spnn.mesh import compile_layer
+from spnn.mesh import Mesh, compile_layer
 from spnn.numerics import Rng, db_to_field, unitarity_residual
 
 LOSSLESS = MziParams().lossless()
@@ -226,3 +228,39 @@ def test_invalid_params_rejected():
         MziParams(xb_db=-10.0, xc_db=-20.0)  # ordering violated
     with pytest.raises(ValueError):
         PhasePair(theta=4.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(MziParams)])
+def test_nan_params_rejected(name):
+    with pytest.raises(ValueError, match=name):
+        MziParams(**{name: math.nan})
+
+
+@pytest.mark.parametrize(
+    "theta, phi, accepted",
+    [
+        (math.pi + 1e-13, 0.0, True),
+        (0.0, 2.0 * math.pi, True),
+        (math.pi + 1e-11, 0.0, False),
+        (-1e-9, 0.0, False),
+        (0.0, -1e-9, False),
+        (math.nan, 0.0, False),
+        (0.0, math.nan, False),
+    ],
+)
+def test_phase_range_is_one_rule(theta, phi, accepted):
+    """PhasePair, Mesh and crosstalk_mean_db (theta only, scalar or array)
+    accept and reject the same phases with the same message."""
+    checks = [lambda: PhasePair(theta, phi), lambda: Mesh([theta], [phi])]
+    if phi == 0.0:
+        checks += [
+            lambda: crosstalk_mean_db(LOSSLESS, theta),
+            lambda: crosstalk_mean_db(LOSSLESS, np.array([0.5, theta])),
+        ]
+    message = "theta must be in [0, pi]" if phi == 0.0 else "phi must be in [0, 2*pi)"
+    for check in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check()
