@@ -22,8 +22,9 @@ Conventions:
 * Layer-level crosstalk uses physical ("field") leak powers, no gain.
   Network-level crosstalk and accuracy evaluation use the power-budget
   ledger (``leak_birth="nominal"``), which books each leak at X times 1 mW.
-* Expected crosstalk power per port is the power sum ``sum_k |a_k|^2``;
-  the worst case is the aligned coherent bound ``(sum_k |a_k|)^2``.
+* One function, ``_port_powers``, reads per-port insertion loss and both
+  crosstalk powers for every ensemble study and the penalty: the expected
+  power ``sum_k |a_k|^2`` and the aligned worst case ``(sum_k |a_k|)^2``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from spnn.data import FeatureDataset
-from spnn.device import MziParams
+from spnn.device import LOSSLESS_MZI, MziParams
 from spnn.mesh import LayerLayout, compile_layer, compile_layers
 from spnn.numerics import Rng, mw_to_dbm, power_to_db
 from spnn.propagation import (
@@ -140,10 +141,6 @@ def params_with_alphas(
     )
 
 
-def _random_layers(n: int, m: int, rng: Rng) -> list[LayerLayout]:
-    return [compile_layer(rng.standard_normal((n, n))) for _ in range(m)]
-
-
 # Trials per compile_layers call in the ensemble statistics. It bounds the
 # layouts held at once, and so peak memory; results do not depend on it.
 _COMPILE_GROUP = 32
@@ -164,32 +161,26 @@ def _compiled_trials(n: int, m: int, trials: int, seed: int):
             yield r, layouts[k * m : (k + 1) * m]
 
 
-def _port_ratios(lossy_pow, ideal_pow, input_pow: float) -> np.ndarray:
-    """Per-port lossy/ideal output power ratios. A port whose ideal power is
-    below 1e-20 of the input power is dark: its ratio means nothing and is
-    NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = lossy_pow / ideal_pow
-    ratios[ideal_pow < 1e-20 * input_pow] = np.nan
-    return ratios
-
-
-def _il_ratios(
-    result: PropagationResult,
-    layers: list[LayerLayout],
-    p: MziParams,
-    x: np.ndarray,
+def _port_powers(
+    result: PropagationResult, layers: list[LayerLayout], x: np.ndarray
 ) -> np.ndarray:
-    """Per-port lossy/ideal output power ratios for the input field ``x``;
-    NaN on a port the ideal network leaves dark. The lossy output is
-    ``result.transfer @ x``, gain included where the crosstalk pass that
-    made ``result`` applied it."""
+    """Rows lossy/ideal output power ratio, ``sum_k |a_k|^2`` and
+    ``(sum_k |a_k|)^2`` per port of one crosstalk pass driven by ``x``. The
+    ideal output walks ``layers`` on the lossless device; a port whose ideal
+    power is below 1e-20 of the input power is dark, its ratio NaN. The
+    einsum squares no copy of the bank and, unlike a BLAS dot, does not
+    depend on the thread count."""
     ideal = x
     for layout in layers:
-        ideal = propagate_signal(layout, p, ideal, mode="ideal")
-    input_pow = np.sum(np.abs(x) ** 2)
-    lossy_pow = np.abs(result.transfer @ x) ** 2
-    return _port_ratios(lossy_pow, np.abs(ideal) ** 2, input_pow)
+        ideal = propagate_signal(layout, LOSSLESS_MZI, ideal)
+    ideal_pow = np.abs(ideal) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(result.transfer @ x) ** 2 / ideal_pow
+    ratio[ideal_pow < 1e-20 * np.sum(np.abs(x) ** 2)] = np.nan
+    amps = result.leak_fields
+    return np.array(
+        [ratio, np.einsum("nk,nk->n", amps, amps), np.sum(amps, axis=1) ** 2]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -199,12 +190,12 @@ def _il_ratios(
 def _layer_trials(n: int, p: MziParams, trials: int, seed: int):
     """Single-layer trials: trial i is a random weight matrix and a
     random-phase input of 1 mW per port, both drawn from ``Rng(seed + i)``.
-    Yields per trial the per-port IL ratios (no gain) and the physical leak
-    amplitudes (n, K)."""
+    Yields per trial the :func:`_port_powers` of its pass: no gain,
+    physical leak powers."""
     for r, (layout,) in _compiled_trials(n, 1, trials, seed):
         x = random_phase_input(n, r)
         res = propagate_with_crosstalk(layout, p, x, rng=r)
-        yield _il_ratios(res, [layout], p, x), res.leak_fields
+        yield _port_powers(res, [layout], x)
 
 
 def layer_statistics(
@@ -220,20 +211,14 @@ def layer_statistics(
     ensemble (the boxplot outlier). Crosstalk uses physical leak powers:
     average = expected per-port crosstalk power, worst = aligned bound.
     """
-    ratios = []
-    xp_mean = []
-    xp_aligned = []
-    for ratio, amps in _layer_trials(n, p, trials, seed):
-        ratios.append(ratio)
-        xp_mean.append(np.sum(amps**2, axis=1))
-        xp_aligned.append(np.sum(amps, axis=1) ** 2)
-    ratios = np.concatenate(ratios)
-    il_db = power_to_db(ratios)
+    ratios, xp, xp_aligned = np.concatenate(
+        list(_layer_trials(n, p, trials, seed)), axis=1
+    )
     return PortStatistics(
         il_avg_db=float(power_to_db(ratios.mean())),
-        il_worst_db=float(il_db.max()),
-        xp_avg_dbm=float(mw_to_dbm(np.concatenate(xp_mean).mean())),
-        xp_worst_dbm=float(mw_to_dbm(np.concatenate(xp_aligned).max())),
+        il_worst_db=float(power_to_db(ratios).max()),
+        xp_avg_dbm=float(mw_to_dbm(xp.mean())),
+        xp_worst_dbm=float(mw_to_dbm(xp_aligned.max())),
     )
 
 
@@ -253,28 +238,20 @@ def network_statistics(
     total crosstalk power delivered to the output plane, the worst case
     aligns every component within each port and sums the ports.
     """
-    ratios = []
-    per_matrix_max = []
-    xp_total = []
-    xp_aligned = []
+    powers = []
     for r, layers in _compiled_trials(n, m, trials, seed):
         x = random_phase_input(n, r)
         res = network_cascade(
             NetworkSpec(layers, p), x, rng=r, leak_birth="nominal"
         )
-        ratio = _il_ratios(res, layers, p, x)
-        ratios.append(ratio)
-        per_matrix_max.append(power_to_db(ratio).max())
-        amps = res.leak_fields
-        xp_total.append(float(np.sum(amps**2)))
-        xp_aligned.append(float(np.sum(np.sum(amps, axis=1) ** 2)))
-        del res, amps  # free this bank before the next trial's pass
-    ratios = np.concatenate(ratios)
+        powers.append(_port_powers(res, layers, x))
+        del res  # free this bank before the next trial's pass
+    ratios, xp, xp_aligned = np.stack(powers, axis=1)  # each (trial, port)
     return PortStatistics(
         il_avg_db=float(power_to_db(ratios.mean())),
-        il_worst_db=float(np.mean(per_matrix_max)),
-        xp_avg_dbm=float(mw_to_dbm(np.mean(xp_total))),
-        xp_worst_dbm=float(mw_to_dbm(np.max(xp_aligned))),
+        il_worst_db=float(np.mean(power_to_db(ratios).max(axis=1))),
+        xp_avg_dbm=float(mw_to_dbm(np.mean(xp.sum(axis=1)))),
+        xp_worst_dbm=float(mw_to_dbm(np.max(xp_aligned.sum(axis=1)))),
     )
 
 
@@ -301,8 +278,8 @@ def power_penalty(
     """
     if x is None:
         x = spec.launch_field()
-    il_db = power_to_db(_il_ratios(result, spec.layers, spec.params, x))
-    xp_dbm = mw_to_dbm(np.sum(result.leak_fields, axis=1) ** 2)
+    ratios, _, xp_aligned = _port_powers(result, spec.layers, x)
+    il_db, xp_dbm = power_to_db(ratios), mw_to_dbm(xp_aligned)
     per_port = spec.photodetector_sensitivity_dbm + il_db + np.maximum(0.0, xp_dbm)
     lit = per_port[~np.isnan(il_db)]  # a dark port needs no launch power
     return PenaltyReport(
@@ -333,7 +310,7 @@ def penalty_statistics(
     penalties = []
     for i in range(trials):
         r = Rng(seed + i)
-        layers = _random_layers(n, m, r)
+        layers = [compile_layer(r.standard_normal((n, n))) for _ in range(m)]
         spec = NetworkSpec(
             layers, p, photodetector_sensitivity_dbm=sensitivity_dbm
         )
@@ -538,19 +515,14 @@ def accuracy_eval(
     """
     if crosstalk and rng is None:
         raise ValueError("crosstalk evaluation needs an rng")
-    return _evaluate(_compiled(model), model, dataset, p, rng if crosstalk else None)
-
-
-def _compiled(model: ComplexMlp) -> list[LayerLayout]:
-    """Each layer's layout, from one stacked compile. Compiling draws no
-    random numbers, so a sweep compiles once and evaluates every point on
-    the result."""
-    return compile_layers(model.weights)
+    compiled = compile_layers(model.weights)
+    return _evaluate(compiled, model, dataset, p, rng if crosstalk else None)
 
 
 def _evaluate(compiled, model, dataset, p, rng=None) -> AccuracyResult:
-    """:func:`accuracy_eval` on layers from :func:`_compiled`, with
-    crosstalk when ``rng`` is given."""
+    """:func:`accuracy_eval` on the layouts ``compile_layers(model.weights)``,
+    with crosstalk when ``rng`` is given. Compiling draws no random numbers,
+    so a sweep compiles once and evaluates every point on the result."""
     a = dataset.features.T.copy()  # (n, samples)
     for k, layout in enumerate(compiled):
         if rng is not None:
@@ -591,7 +563,7 @@ def loss_sweep(
         raise ValueError(
             f"unknown loss axis {which!r}; options {sorted(EXPECTED_ALPHA_RANGES)}"
         )
-    compiled = _compiled(model)
+    compiled = compile_layers(model.weights)
     return [
         _evaluate(compiled, model, dataset, _one_axis_params(p, which, value))
         for value in grid
@@ -614,7 +586,7 @@ def joint_loss_sample(
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
-    compiled = _compiled(model)
+    compiled = compile_layers(model.weights)
     rows = []
     for _ in range(n_instances):
         draws = {}
@@ -638,7 +610,7 @@ def tolerance_search(
     bisection steps over [0, 4x the expected maximum]."""
     if max_drop_pct <= 0:
         raise ValueError("max_drop_pct must be > 0")
-    compiled = _compiled(model)
+    compiled = compile_layers(model.weights)
 
     def accuracy(q: MziParams) -> float:
         return _evaluate(compiled, model, dataset, q).accuracy_pct
@@ -676,7 +648,7 @@ def crosstalk_grid(
     base = params_with_alphas(
         **{k: lo for k, (lo, _) in EXPECTED_ALPHA_RANGES.items()}, base=p
     )
-    compiled = _compiled(model)
+    compiled = compile_layers(model.weights)
     grid = np.full((len(xb_grid), len(xc_grid)), np.nan)
     for i, xb in enumerate(xb_grid):
         for j, xc in enumerate(xc_grid):

@@ -208,11 +208,9 @@ def _quartiles(samples: np.ndarray) -> list[float]:
 
 def _cmd_layer_stats(cfg, out_dir):
     p = cfg.mzi_params()
-    il_db, xp_dbm = [], []
-    for ratios, amps in _layer_trials(cfg.n, p, cfg.trials, cfg.seed):
-        il_db.append(power_to_db(ratios))
-        xp_dbm.append(mw_to_dbm(np.sum(amps**2, axis=1)))
-    il_db, xp_dbm = np.array(il_db).T, np.array(xp_dbm).T  # (port, trial)
+    trials = list(_layer_trials(cfg.n, p, cfg.trials, cfg.seed))
+    ratios, xp, _ = np.stack(trials, axis=2)
+    il_db, xp_dbm = power_to_db(ratios), mw_to_dbm(xp)  # (port, trial)
     header = ["port"]
     for prefix in ("il", "xp"):
         unit = "db" if prefix == "il" else "dbm"

@@ -92,6 +92,11 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        # NaN would pass the range checks below: every number must be finite.
+        for name, value in self.to_mapping().items():
+            for v in value if isinstance(value, list) else [value]:
+                if not isinstance(v, str):
+                    _finite(name, v)
         # Device-parameter construction enforces kappa/loss/crosstalk
         # invariants (including xb_db <= xc_db <= 0).
         self.mzi_params()
@@ -160,7 +165,7 @@ def _coerce(name: str, value):
     if target == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ValueError(f"field {name!r} expects a number, got {value!r}")
-        return _finite(name, float(value))
+        return float(value)
     if target == "str":
         if not isinstance(value, str):
             raise ValueError(f"field {name!r} expects a string, got {value!r}")
@@ -171,7 +176,7 @@ def _coerce(name: str, value):
     if not isinstance(value, list):
         raise ValueError(f"field {name!r} expects a list, got {value!r}")
     elem = int if name in ("n_list", "m_list") else float
-    return [_finite(name, elem(v)) for v in value]
+    return [elem(v) for v in value]
 
 
 def _finite(name: str, value):

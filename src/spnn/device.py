@@ -201,8 +201,7 @@ def mzi_with_crosstalk(
     p: MziParams,
     ph: PhasePair,
     inputs: np.ndarray,
-    rng: Rng | None = None,
-    x_db: float | None = None,
+    x_db: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the MZI output into routed signal and first-order leak.
 
@@ -213,8 +212,6 @@ def mzi_with_crosstalk(
     """
     inputs = np.asarray(inputs, dtype=complex)
     t = mzi_transfer(p, ph)
-    if x_db is None:
-        x_db = crosstalk_coefficient(p, ph.theta, rng)
     x_lin = 10.0 ** (x_db / 10.0)
     signal_out = math.sqrt(1.0 - x_lin) * (t @ inputs)
     leak_out = math.sqrt(x_lin) * (t[::-1, :] @ inputs)

@@ -100,11 +100,11 @@ class Rng:
             raise ValueError(f"uniform bounds out of order: a={a} > b={b}")
         return self._gen.uniform(a, b, size=size)
 
-    def half_normal(self, loc: float, sigma: float, size=None):
+    def half_normal(self, loc: float, sigma: float):
         """``loc + |gaussian(0, sigma)|``; always >= loc."""
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
-        return loc + np.abs(self._gen.normal(0.0, sigma, size=size))
+        return loc + np.abs(self._gen.normal(0.0, sigma))
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)

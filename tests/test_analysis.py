@@ -14,8 +14,8 @@ from spnn import analysis, propagation
 from spnn.analysis import (
     EXPECTED_ALPHA_RANGES,
     ComplexMlp,
-    _il_ratios,
     _loss_and_grads,
+    _port_powers,
     accuracy_eval,
     crosstalk_grid,
     joint_loss_sample,
@@ -206,6 +206,26 @@ def test_crosstalk_accuracy_holds_one_magnitude_bank_at_a_time(monkeypatch):
     assert peak < 1.5 * bank_bytes
 
 
+def test_port_powers_build_no_bank_sized_temporary():
+    """The per-port readout of an N=24, M=2 nominal cascade peaks below half
+    of its leak bank: the power sum squares no copy of the bank."""
+    n = 24
+    r = Rng(5)
+    layers = [compile_layer(r.standard_normal((n, n))) for _ in range(2)]
+    x = analysis.random_phase_input(n, r)
+    spec = NetworkSpec(layers, MziParams())
+    res = network_cascade(spec, x, rng=r, leak_birth="nominal")
+    bank_bytes = res.leak_fields.nbytes
+    assert bank_bytes == n * 2 * n * (n - 1) * 8
+    tracemalloc.start()
+    try:
+        _port_powers(res, layers, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * bank_bytes
+
+
 def test_params_with_alphas_round_trip():
     p = params_with_alphas(0.3, 0.15, 0.09)
     assert p.alpha_l_db == 0.3
@@ -283,6 +303,7 @@ def test_ensemble_statistics_do_not_depend_on_the_compile_group(monkeypatch, tmp
 def test_dark_ideal_port_has_nan_insertion_loss():
     """diag(1, 0) leaves port 1 dark in the ideal network: its IL is NaN,
     not a ratio against an ideal power of ~1e-33, and port 0 is unchanged.
+    The crosstalk rows are the leak bank's power sum and aligned bound.
     The penalty's average and worst skip the dark port."""
     p = MziParams()
     layout = compile_layer(np.diag([1.0, 0.0]))
@@ -294,10 +315,13 @@ def test_dark_ideal_port_has_nan_insertion_loss():
         propagate_with_crosstalk(layout, p, x, rng=Rng(1)),
         network_cascade(spec, x, rng=Rng(1), leak_birth="nominal"),
     ):
-        ratios = _il_ratios(res, [layout], p, x)
+        ratios, xp, xp_aligned = _port_powers(res, [layout], x)
         lossy = res.transfer @ x
         assert np.isnan(ratios[1])
         assert ratios[0] == np.abs(lossy[0]) ** 2 / np.abs(ideal[0]) ** 2
+        amps = res.leak_fields
+        assert np.array_equal(xp_aligned, np.sum(amps, axis=1) ** 2)
+        np.testing.assert_allclose(xp, np.sum(amps**2, axis=1), rtol=1e-15)
     report = power_penalty(spec, res, x=x)
     assert np.isnan(report.il_db[1]) and np.isnan(report.per_port_penalty_dbm[1])
     assert np.isfinite(report.per_port_penalty_dbm[0])

@@ -452,6 +452,24 @@ def test_a_config_file_with_a_non_finite_value_is_rejected(tmp_path, capsys):
     assert "'alpha_m_db' expects a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("lr", float("nan")),
+        ("temp", float("inf")),
+        ("bias", float("nan")),
+        ("max_drop_pct", float("nan")),
+        ("sweep_max_db", float("inf")),
+        ("launch_power_dbm", float("nan")),
+        ("sensitivity_dbm", float("-inf")),
+        ("xb_grid", [-30.0, float("inf")]),
+    ],
+)
+def test_a_config_built_in_python_rejects_a_non_finite_value(name, value):
+    with pytest.raises(ValueError, match=f"field '{name}' expects a finite number"):
+        ExperimentConfig(**{name: value})
+
+
 @pytest.mark.parametrize("pairs", [["n=16"], ["m=5"], ["n=16", "m=5"]])
 def test_accuracy_rejects_a_model_of_another_shape_than_n_and_m(tmp_path, capsys, pairs):
     eye = {"real": np.eye(8).tolist()}

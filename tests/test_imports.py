@@ -1,6 +1,7 @@
 """``ast`` walks standing in for linter rules: every name an ``spnn`` module
-imports is used in that module, every config field is read, and every
-private top-level name is read somewhere in the package."""
+imports is used in that module, every config field is read, every private
+top-level name is read somewhere in the package, and every parameter default
+is overridden by some call."""
 
 import ast
 import dataclasses
@@ -153,3 +154,84 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert unread_private_names(sources) == []
+
+
+def dead_defaults(defined: dict[str, str], calling: list[str]) -> list[str]:
+    """``function.parameter`` of each parameter with a default, of a
+    function or method of ``defined``, that no call in ``calling`` passes,
+    by keyword or by position. Calls match by name: ``f(...)`` and
+    ``x.f(...)`` call every function or method named ``f``, ``C(...)``
+    calls ``C.__init__``, and a ``*args`` or ``**kwargs`` argument passes
+    every parameter."""
+    calls = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                splat = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((len(node.args), splat, keywords))
+    dead = []
+    for module, source in defined.items():
+        tree = ast.parse(source)
+        methods = {
+            id(f): c.name
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef)
+            for f in c.body
+            if isinstance(f, ast.FunctionDef)
+        }
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            owner = methods.get(id(f))
+            name = owner if f.name == "__init__" else f.name
+            args = f.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if owner else 0  # self
+            with_default = [
+                (positional.index(a) - skip, a.arg)
+                for a in positional[len(positional) - len(args.defaults) :]
+            ] + [
+                (None, a.arg)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None
+            ]
+            for index, arg in with_default:
+                if not any(
+                    splat or arg in keywords or None in keywords
+                    or (index is not None and n_args > index)
+                    for n_args, splat, keywords in calls.get(name, [])
+                ):
+                    dead.append(f"{module}.{f.name}.{arg}")
+    return dead
+
+
+def test_the_check_finds_a_default_no_call_passes():
+    defined = {
+        "a": (
+            "def f(x, y=1, z=2, *, w=3, v=4):\n    pass\n"
+            "def g(a=1):\n    pass\n"
+            "def k(b=1):\n    pass\n"
+            "def e(c=1):\n    pass\n"
+            "class C:\n"
+            "    def __init__(self, k=0, j=1):\n        pass\n"
+            "    def m(self, q=0):\n        pass\n"
+        ),
+    }
+    calling = [
+        "f(0, 1, w=5)\nh = g\nC(2).m()\n",
+        "x.k(*args)\ne(**opts)\n",
+    ]
+    assert dead_defaults(defined, calling) == [
+        "a.f.z", "a.f.v", "a.g.a", "a.__init__.j", "a.m.q"
+    ]
+
+
+def test_every_default_is_passed_by_some_call():
+    """No knob nothing turns: each parameter default of ``src/spnn`` is
+    overridden by at least one call in the package or its tests."""
+    defined = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    calling = [p.read_text(encoding="utf-8") for p in [*MODULES, *tests]]
+    assert dead_defaults(defined, calling) == []
