@@ -1,12 +1,10 @@
 """Experiment configuration: JSON-shaped documents with strict validation.
 
-Every field has a default drawn from the reference fabrication parameters
-(3-dB couplers, 0.1/0.2 dB coupler/absorption losses, 2 dB/cm propagation,
--25/-18 dB bar/cross crosstalk, 0 dBm launch, -11.7 dBm detector
-sensitivity). Unknown keys are rejected rather than ignored so a typo can
-never silently fall back to a default, and the fully resolved configuration
-is re-emitted next to every experiment's outputs so a run is reproducible
-from its artifacts alone.
+The config extends MziParams: the device parameters, their reference
+defaults and their checks are MziParams' own. Unknown keys are rejected
+rather than ignored so a typo can never silently fall back to a default,
+and the fully resolved configuration is re-emitted next to every
+experiment's outputs so a run is reproducible from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -31,20 +29,10 @@ __all__ = [
 OUT_DIR_ENV = "SPNN_OUT_DIR"
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class ExperimentConfig(MziParams):
     """All experiment knobs, with reference-fabrication defaults."""
 
-    # Device parameters: every MziParams field, with its default.
-    kappa1: float = 0.5
-    kappa2: float = 0.5
-    alpha_l_db: float = 0.1
-    alpha_m_db: float = 0.2
-    alpha_p_db_per_cm: float = 2.0
-    l_mzi_um: float = 300.0
-    xb_db: float = -25.0
-    xc_db: float = -18.0
-    xtalk_sigma_frac: float = 0.05
     # Network shape and system-level budget. The per-layer gain and NAU
     # loss are spnn.propagation constants. launch_power_dbm offsets the
     # crosstalk columns of device-sweep, layer-stats and network-stats.
@@ -97,9 +85,7 @@ class ExperimentConfig:
             for v in value if isinstance(value, list) else [value]:
                 if not isinstance(v, str):
                     _finite(name, v)
-        # Device-parameter construction enforces kappa/loss/crosstalk
-        # invariants (including xb_db <= xc_db <= 0).
-        self.mzi_params()
+        super().__post_init__()
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.m < 1:

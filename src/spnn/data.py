@@ -8,6 +8,7 @@ sample launches 1 mW in total, whatever the image brightness.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -65,6 +66,11 @@ class FeatureDataset:
             raise ValueError("train_fraction must be in (0, 1)")
         order = rng.permutation(self.n_samples)
         cut = int(round(train_fraction * self.n_samples))
+        if not 0 < cut < self.n_samples:
+            raise ValueError(
+                f"train_fraction={train_fraction} of {self.n_samples} samples "
+                "leaves an empty train or eval split"
+            )
         return tuple(
             FeatureDataset(self.features[idx], self.labels[idx], self.n_classes)
             for idx in (order[:cut], order[cut:])
@@ -78,40 +84,32 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return data
 
 
+def _read_idx(path: str, magic: int, what: str) -> np.ndarray:
+    """The uint8 payload of one big-endian IDX file whose magic must be
+    ``magic``; its low byte is the dimension count."""
+    ndim = magic & 0xFF
+    with open(path, "rb") as fh:
+        found, *dims = struct.unpack(
+            f">{1 + ndim}I", _read_exact(fh, 4 * (1 + ndim), f"{what} header")
+        )
+        if found != magic:
+            raise ValueError(
+                f"bad {what} magic 0x{found:08x}, expected 0x{magic:08x}"
+            )
+        raw = _read_exact(fh, math.prod(dims), f"{what} data")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
+
+
 def ingest_idx(images_path: str, labels_path: str):
     """Parse big-endian IDX image/label files into ([0,1] images, labels).
 
     Returns (images, labels) with images of shape (count, rows, cols).
     """
-    with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(
-            ">IIII", _read_exact(fh, 16, "image header")
-        )
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(
-                f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        raw = _read_exact(fh, count * rows * cols, "image data")
-    images = (
-        np.frombuffer(raw, dtype=np.uint8)
-        .reshape(count, rows, cols)
-        .astype(float)
-        / 255.0
-    )
-    with open(labels_path, "rb") as fh:
-        magic, label_count = struct.unpack(
-            ">II", _read_exact(fh, 8, "label header")
-        )
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(
-                f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        labels = np.frombuffer(
-            _read_exact(fh, label_count, "label data"), dtype=np.uint8
-        ).astype(int)
-    if label_count != count:
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image").astype(float) / 255.0
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label").astype(int)
+    if len(labels) != len(images):
         raise ValueError(
-            f"image/label count mismatch: {count} images vs {label_count} labels"
+            f"image/label count mismatch: {len(images)} images vs {len(labels)} labels"
         )
     return images, labels
 

@@ -317,18 +317,14 @@ def monte_carlo_interference(
     k = amplitudes.size
     received = np.empty(trials)
     xtalk = np.empty(trials)
-    if k == 0:
-        received[:] = signal_amplitude**2
-        xtalk[:] = 0.0
-    else:
-        done = 0
-        while done < trials:
-            m = min(_MC_CHUNK, trials - done)
-            rho = rng.uniform(0.0, 2.0 * math.pi, size=(m, k))
-            summed = np.exp(1j * rho) @ amplitudes.astype(complex)
-            xtalk[done : done + m] = np.abs(summed) ** 2
-            received[done : done + m] = np.abs(signal_amplitude + summed) ** 2
-            done += m
+    done = 0
+    while done < trials:
+        m = min(_MC_CHUNK, trials - done)
+        rho = rng.uniform(0.0, 2.0 * math.pi, size=(m, k))
+        summed = np.exp(1j * rho) @ amplitudes.astype(complex)
+        xtalk[done : done + m] = np.abs(summed) ** 2
+        received[done : done + m] = np.abs(signal_amplitude + summed) ** 2
+        done += m
     aligned = float(np.sum(amplitudes)) ** 2
     return {
         "received_mean_mw": float(received.mean()),
@@ -359,9 +355,7 @@ def resolve_crosstalk_fields(
     the block size. Each phase is rounded to float32 (by at most ~4e-7 rad)
     for its cos and sin; the weighted parts are summed in float64."""
     leaks = result.leak_fields
-    if leaks.shape[1] == 0:
-        return result.signal.copy()
-    rows = max(1, _RESOLVE_BLOCK_BYTES // leaks[0].nbytes)
+    rows = max(1, _RESOLVE_BLOCK_BYTES // max(1, leaks[0].nbytes))
     out = result.signal.astype(complex)
     trig = np.empty((min(rows, len(leaks)),) + leaks.shape[1:], dtype=np.float32)
     for lo in range(0, leaks.shape[0], rows):

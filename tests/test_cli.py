@@ -1,6 +1,7 @@
 """CLI tests: strict config handling, CSV emission round trips, and
 byte-identical reproducibility of command outputs."""
 
+import ast
 import ctypes
 import dataclasses
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import spnn
+import spnn.config
 from spnn.cli import _COMMANDS, emit_csv, main
 from spnn.config import (
     OUT_DIR_ENV,
@@ -47,6 +49,25 @@ def test_config_carries_every_device_parameter_with_its_default():
         assert f.name in cfg_fields, f"MziParams.{f.name} has no config key"
         assert cfg_fields[f.name].default == f.default
     assert ExperimentConfig(xb_db=-30.0).mzi_params() == MziParams(xb_db=-30.0)
+    # The device fields are inherited, not copied: config.py declares none.
+    assert issubclass(ExperimentConfig, MziParams)
+    tree = ast.parse(Path(spnn.config.__file__).read_text(encoding="utf-8"))
+    (body,) = [
+        node.body
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"
+    ]
+    declared = {s.target.id for s in body if isinstance(s, ast.AnnAssign)}
+    assert declared and not declared & {f.name for f in dataclasses.fields(MziParams)}
+
+
+def test_config_is_frozen_and_hands_out_plain_device_params():
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n = 16
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.xb_db = -30.0
+    assert type(cfg.mzi_params()) is MziParams
 
 
 def test_empty_config_file_gives_defaults(tmp_path):
@@ -483,3 +504,20 @@ def test_accuracy_rejects_a_model_of_another_shape_than_n_and_m(tmp_path, capsys
     assert err.startswith("error: model_file ") and "8 ports and 2 layers" in err
     assert all(p in err for p in pairs)
     assert not (out / "accuracy.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        ("accuracy", ["train_fraction=0.99", "crosstalk=false"]),
+        ("accuracy", ["train_fraction=0.99"]),
+        ("train", ["train_fraction=0.01"]),
+    ],
+)
+def test_an_empty_train_or_eval_split_is_rejected(tmp_path, capsys, command, sets):
+    out = tmp_path / "o"
+    args = [a for p in ["n_per_class=1", *sets] for a in ("--set", p)]
+    assert main([command, "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train_fraction" in err and "8 samples" in err
+    assert not (out / f"{command}.csv").exists()

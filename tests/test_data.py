@@ -125,6 +125,13 @@ def test_default_dataset_split():
     assert train.features.tobytes() == train2.features.tobytes()
 
 
+@pytest.mark.parametrize("fraction", [0.99, 0.01])
+def test_split_rejects_an_empty_side(fraction):
+    ds = build_default_dataset(n_per_class=1)
+    with pytest.raises(ValueError, match=f"train_fraction={fraction} of 8 samples"):
+        ds.split(fraction, Rng(1))
+
+
 def test_feature_dataset_validation():
     with pytest.raises(ValueError):
         FeatureDataset(np.zeros((2, 4)), np.array([0, 9]), n_classes=2)

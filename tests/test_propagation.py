@@ -21,6 +21,7 @@ from spnn.propagation import (
     GAIN_DB,
     NAU_LOSS_DB,
     NetworkSpec,
+    PropagationResult,
     monte_carlo_interference,
     network_cascade,
     propagate_signal,
@@ -203,9 +204,12 @@ def test_identity_network_with_lossless_params():
 
 
 def test_monte_carlo_zero_components():
-    stats = monte_carlo_interference(np.array([]), 0.7, trials=100, rng=Rng(1))
+    rng = Rng(1)
+    state = rng.state
+    stats = monte_carlo_interference(np.array([]), 0.7, trials=100, rng=rng)
     assert stats["received_mean_mw"] == pytest.approx(0.49)
     assert stats["xtalk_max_mw"] == 0.0
+    assert rng.state == state
 
 
 def test_monte_carlo_uniform_phase_expectation():
@@ -260,6 +264,21 @@ def test_resolve_crosstalk_fields_reproducible_and_power_scale():
         np.sum(np.abs(res.signal) ** 2) + np.sum(np.abs(res.leak_fields) ** 2)
     )
     assert np.mean(trials) == pytest.approx(expect, rel=0.05)
+
+
+def test_resolve_crosstalk_fields_of_an_empty_bank():
+    """A bank of zero samples resolves to an (N, 0) array; a bank of zero
+    components (a 1-port layer) returns the signal and draws nothing."""
+    n = 4
+    layout = compile_layer(Rng(40).standard_normal((n, n)))
+    res = propagate_with_crosstalk(layout, P, np.ones((n, 0)), rng=Rng(42))
+    assert resolve_crosstalk_fields(res, Rng(7)).shape == (n, 0)
+    signal = _random_field(1, 43)
+    res = PropagationResult(signal, np.zeros((1, 0)), np.eye(1, dtype=complex))
+    rng = Rng(7)
+    state = rng.state
+    assert np.array_equal(resolve_crosstalk_fields(res, rng), signal)
+    assert rng.state == state
 
 
 def test_launch_field_power():
