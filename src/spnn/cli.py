@@ -23,8 +23,8 @@ from spnn.analysis import (
     EXPECTED_ALPHA_RANGES,
     ComplexMlp,
     TrainResult,
+    _evaluate,
     _layer_trials,
-    accuracy_eval,
     crosstalk_grid,
     joint_loss_sample,
     loss_sweep,
@@ -41,7 +41,7 @@ from spnn.config import (
 )
 from spnn.data import FeatureDataset, build_default_dataset, featurize, ingest_idx
 from spnn.device import PhasePair, crosstalk_mean_db, mzi_transfer, output_insertion_loss
-from spnn.mesh import compile_layer, layout_to_json
+from spnn.mesh import compile_layer, compile_layers, layout_to_json
 from spnn.numerics import Rng, mw_to_dbm, power_to_db
 # Not called here; perfbench/test_perfbench.py checks its tracer wraps it here.
 from spnn.propagation import propagate_with_crosstalk  # noqa: F401
@@ -54,8 +54,6 @@ __all__ = ["main", "emit_csv", "run_experiment"]
 # --------------------------------------------------------------------------
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -143,6 +141,9 @@ def _load_model(cfg: ExperimentConfig) -> ComplexMlp:
         and isinstance(doc.get("bias"), (int, float))
     ):
         raise ValueError("model_file must hold a JSON object with 'weights' and 'bias'")
+    bias = doc["bias"]
+    if isinstance(bias, bool) or not abs(bias) <= sys.float_info.max:
+        raise ValueError(f"model_file bias must be a finite number, got {bias!r}")
     weights = [_complex_matrix(w, "each model_file weight") for w in doc["weights"]]
     n = cfg.n_features
     if any(w.shape != (n, n) for w in weights):
@@ -152,7 +153,7 @@ def _load_model(cfg: ExperimentConfig) -> ComplexMlp:
             f"model_file has {n} ports and {len(weights)} layers, "
             f"but n={cfg.n} and m={cfg.m}"
         )
-    return ComplexMlp(weights, bias=float(doc["bias"]))
+    return ComplexMlp(weights, bias=float(bias))
 
 
 def _train(cfg: ExperimentConfig, train_set: FeatureDataset) -> TrainResult:
@@ -292,33 +293,32 @@ def _cmd_accuracy(cfg, out_dir):
     train_set, eval_set = _split_dataset(cfg)
     model = _trained_model(cfg, train_set)
     p = cfg.mzi_params()
+    compiled = compile_layers(model.weights)
     ideal = 100.0 * float(
         np.mean(model.predict(eval_set.features) == eval_set.labels)
     )
-    res = accuracy_eval(
-        model,
-        eval_set,
-        p,
-        crosstalk=cfg.crosstalk,
-        rng=Rng(cfg.seed).spawn(3) if cfg.crosstalk else None,
+    both, loss_only, crosstalk_only = (
+        _evaluate(compiled, model, eval_set, q, rng).accuracy_pct
+        for q, rng in (
+            (p, Rng(cfg.seed).spawn(3)),
+            (p, None),
+            (p.lossless(), Rng(cfg.seed).spawn(6)),
+        )
     )
-    rows = [[res.accuracy_pct, ideal, cfg.crosstalk, res.n_samples]]
-    return ["accuracy_pct", "ideal_accuracy_pct", "crosstalk", "n_samples"], rows
+    header = ["accuracy_pct", "ideal_accuracy_pct", "loss_only_accuracy_pct"]
+    header += ["crosstalk_only_accuracy_pct", "n_samples"]
+    return header, [[both, ideal, loss_only, crosstalk_only, eval_set.n_samples]]
 
 
 def _cmd_loss_sweep(cfg, out_dir):
-    if cfg.sweep_axis not in EXPECTED_ALPHA_RANGES:
-        raise ValueError(
-            f"sweep_axis must be one of {sorted(EXPECTED_ALPHA_RANGES)}"
-        )
+    """Each loss axis from 0 to twice its expected maximum."""
     train_set, eval_set = _split_dataset(cfg)
     model = _trained_model(cfg, train_set)
-    grid = np.linspace(0.0, cfg.sweep_max_db, cfg.sweep_points)
-    results = loss_sweep(model, eval_set, cfg.mzi_params(), cfg.sweep_axis, grid)
-    rows = [
-        [cfg.sweep_axis, float(v), r.accuracy_pct]
-        for v, r in zip(grid, results)
-    ]
+    rows = []
+    for axis, (_, hi) in EXPECTED_ALPHA_RANGES.items():
+        grid = np.linspace(0.0, 2.0 * hi, cfg.sweep_points)
+        results = loss_sweep(model, eval_set, cfg.mzi_params(), axis, grid)
+        rows += [[axis, float(v), r.accuracy_pct] for v, r in zip(grid, results)]
     return ["axis", "alpha_db", "accuracy_pct"], rows
 
 

@@ -67,10 +67,7 @@ class ExperimentConfig(MziParams):
     temp: float = 400.0
     # Experiment-specific knobs.
     theta_points: int = 101
-    crosstalk: bool = True
-    sweep_axis: str = "alpha_l_db"
     sweep_points: int = 9
-    sweep_max_db: float = 0.8
     n_instances: int = 100
     max_drop_pct: float = 5.0
     xb_grid: list[float] = field(default_factory=lambda: [-30.0, -25.0, -20.0])
@@ -115,8 +112,6 @@ class ExperimentConfig(MziParams):
             raise ValueError("bias must be >= 0")
         if self.max_drop_pct <= 0:
             raise ValueError("max_drop_pct must be > 0")
-        if self.sweep_max_db <= 0:
-            raise ValueError("sweep_max_db must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -138,12 +133,6 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 def _coerce(name: str, value):
     """Coerce a parsed value to the declared field type, strictly."""
     target = _FIELDS[name].type
-    if target == "bool":
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
-            return value.lower() == "true"
-        raise ValueError(f"field {name!r} expects a boolean, got {value!r}")
     if target == "int":
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise ValueError(f"field {name!r} expects an integer, got {value!r}")

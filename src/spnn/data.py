@@ -9,6 +9,7 @@ sample launches 1 mW in total, whatever the image brightness.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -78,10 +79,10 @@ class FeatureDataset:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+    # Checked before reading: a header can claim more bytes than memory holds.
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"truncated IDX payload while reading {what}")
-    return data
+    return fh.read(count)
 
 
 def _read_idx(path: str, magic: int, what: str) -> np.ndarray:

@@ -6,6 +6,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,8 @@ import pytest
 
 import spnn
 import spnn.config
-from spnn.cli import _COMMANDS, emit_csv, main
+from spnn.analysis import EXPECTED_ALPHA_RANGES, accuracy_eval, loss_sweep
+from spnn.cli import _COMMANDS, _split_dataset, _trained_model, emit_csv, main
 from spnn.config import (
     OUT_DIR_ENV,
     ExperimentConfig,
@@ -26,6 +28,7 @@ from spnn.config import (
     resolve_out_dir,
 )
 from spnn.device import MziParams
+from spnn.numerics import Rng
 from spnn.propagation import GAIN_DB, NAU_LOSS_DB
 
 
@@ -102,10 +105,10 @@ def test_resolved_config_round_trip(tmp_path):
 
 def test_override_parsing():
     cfg = apply_overrides(
-        ExperimentConfig(), ["n_list=4,8", "crosstalk=false", "seed=9"]
+        ExperimentConfig(), ["n_list=4,8", "temp=50", "seed=9"]
     )
     assert cfg.n_list == [4, 8]
-    assert cfg.crosstalk is False
+    assert cfg.temp == 50.0
     assert cfg.seed == 9
     with pytest.raises(ValueError, match="key=value"):
         apply_overrides(ExperimentConfig(), ["n8"])
@@ -180,7 +183,17 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pair", ["gain_db=30", "nau_loss_db=2", "weight_source=file"])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        "gain_db=30",
+        "nau_loss_db=2",
+        "weight_source=file",
+        "crosstalk=false",
+        "sweep_axis=alpha_m_db",
+        "sweep_max_db=0.6",
+    ],
+)
 def test_removed_keys_are_unknown(tmp_path, capsys, pair):
     assert main(["compile", "--set", pair, "--out", str(tmp_path)]) == 2
     assert "unknown config key" in capsys.readouterr().err
@@ -251,6 +264,9 @@ def test_compile_rejects_a_malformed_weight_file(tmp_path, capsys, doc, message)
     assert not (tmp_path / "c" / "compile.csv").exists()
 
 
+_BIAS = "model_file bias must be a finite number"
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -263,6 +279,10 @@ def test_compile_rejects_a_malformed_weight_file(tmp_path, capsys, doc, message)
             "got (2, 2) and (1, 1)",
         ),
         ('{"weights": [{"real": {"a": 1}}], "bias": 0.1}', "each model_file weight: "),
+        ('{"weights": [{"real": [[1]]}], "bias": NaN}', _BIAS),
+        ('{"weights": [{"real": [[1]]}], "bias": Infinity}', _BIAS),
+        ('{"weights": [{"real": [[1]]}], "bias": true}', _BIAS),
+        ('{"weights": [{"real": [[1]]}], "bias": 1%s}' % ("0" * 400), _BIAS),
     ],
     ids=[
         "top_level_list",
@@ -271,6 +291,10 @@ def test_compile_rejects_a_malformed_weight_file(tmp_path, capsys, doc, message)
         "real_not_2d",
         "imag_of_another_shape",
         "real_not_numbers",
+        "bias_nan",
+        "bias_infinite",
+        "bias_bool",
+        "bias_int_beyond_float",
     ],
 )
 def test_accuracy_rejects_a_malformed_model_file(tmp_path, capsys, doc, message):
@@ -295,7 +319,10 @@ _HEADERS = {
     "power-penalty": "n,m,penalty_avg_dbm,penalty_worst_dbm",
     "compile": "n,mesh_mzi_count,s_max,sigma_deficit_db",
     "train": "epoch,loss",
-    "accuracy": "accuracy_pct,ideal_accuracy_pct,crosstalk,n_samples",
+    "accuracy": (
+        "accuracy_pct,ideal_accuracy_pct,loss_only_accuracy_pct,"
+        "crosstalk_only_accuracy_pct,n_samples"
+    ),
     "loss-sweep": "axis,alpha_db,accuracy_pct",
     "joint-sample": "alpha_l_db,alpha_m_db,alpha_prop_db,accuracy_pct",
     "tolerance": "axis,max_alpha_db",
@@ -431,16 +458,66 @@ def test_accuracy_command_end_to_end(tmp_path):
         "epochs=30",
         "--set",
         "n_per_class=10",
-        "--set",
-        "crosstalk=false",
     ]
     assert main(args) == 0
     lines = (out / "accuracy.csv").read_text().splitlines()
-    assert lines[0] == "accuracy_pct,ideal_accuracy_pct,crosstalk,n_samples"
-    acc, ideal, xtalk, n = lines[1].split(",")
-    assert 0.0 <= float(acc) <= 100.0
-    assert xtalk == "false"
+    assert lines[0] == _HEADERS["accuracy"]
+    *accuracies, n = lines[1].split(",")
+    assert len(accuracies) == 4
+    assert all(0.0 <= float(a) <= 100.0 for a in accuracies)
     assert int(n) > 0
+
+
+def test_accuracy_columns_are_the_library_evaluations(tmp_path):
+    """Both, ideal, loss only and crosstalk only: the crosstalk runs draw from
+    spawns 3 and 6 of the seed, crosstalk only on the lossless device."""
+    sets = ["epochs=30", "n_per_class=10", "seed=3", f"out_dir={tmp_path}"]
+    assert main(["accuracy", *[a for p in sets for a in ("--set", p)]]) == 0
+    cfg = apply_overrides(ExperimentConfig(), sets)
+    train_set, eval_set = _split_dataset(cfg)
+    model = _trained_model(cfg, train_set)
+    p = cfg.mzi_params()
+    ideal = 100.0 * np.mean(model.predict(eval_set.features) == eval_set.labels)
+    want = [
+        accuracy_eval(
+            model, eval_set, p, crosstalk=True, rng=Rng(cfg.seed).spawn(3)
+        ).accuracy_pct,
+        ideal,
+        accuracy_eval(model, eval_set, p).accuracy_pct,
+        accuracy_eval(
+            model, eval_set, p.lossless(), crosstalk=True, rng=Rng(cfg.seed).spawn(6)
+        ).accuracy_pct,
+        eval_set.n_samples,
+    ]
+    row = (tmp_path / "accuracy.csv").read_text().splitlines()[1].split(",")
+    assert [float(v) for v in row] == want
+
+
+def test_loss_sweep_covers_every_axis_to_twice_its_expected_maximum(tmp_path):
+    sets = ["epochs=30", "n_per_class=10", "sweep_points=4", f"out_dir={tmp_path}"]
+    assert main(["loss-sweep", *[a for p in sets for a in ("--set", p)]]) == 0
+    cfg = apply_overrides(ExperimentConfig(), sets)
+    train_set, eval_set = _split_dataset(cfg)
+    model = _trained_model(cfg, train_set)
+    want = []
+    for axis, (_, hi) in EXPECTED_ALPHA_RANGES.items():
+        grid = np.linspace(0.0, 2.0 * hi, 4)
+        results = loss_sweep(model, eval_set, cfg.mzi_params(), axis, grid)
+        want += [(axis, v, r.accuracy_pct) for v, r in zip(grid, results)]
+    lines = (tmp_path / "loss-sweep.csv").read_text().splitlines()[1:]
+    got = [(a, float(v), float(acc)) for a, v, acc in (r.split(",") for r in lines)]
+    assert got == want
+
+
+def test_an_idx_header_claiming_more_than_the_file_holds_exits_2(tmp_path, capsys):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 100000, 1000, 1000) + bytes(10))
+    labels.write_bytes(struct.pack(">II", 0x801, 100000) + bytes(10))
+    out = tmp_path / "a"
+    sets = ["--set", f"images_path={images}", "--set", f"labels_path={labels}"]
+    assert main(["accuracy", *sets, "--out", str(out)]) == 2
+    assert "truncated IDX payload while reading image data" in capsys.readouterr().err
+    assert not (out / "accuracy.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -474,13 +551,25 @@ def test_a_config_file_with_a_non_finite_value_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [('{"n": true}', "'n' expects an integer"), ('{"temp": true}', "'temp' expects a number")],
+)
+def test_a_config_file_with_a_boolean_number_is_rejected(tmp_path, capsys, doc, message):
+    """The config has no boolean field: JSON ``true`` is no 1 or 1.0."""
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    assert main(["compile", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "name, value",
     [
         ("lr", float("nan")),
         ("temp", float("inf")),
         ("bias", float("nan")),
         ("max_drop_pct", float("nan")),
-        ("sweep_max_db", float("inf")),
+        ("train_fraction", float("inf")),
         ("launch_power_dbm", float("nan")),
         ("sensitivity_dbm", float("-inf")),
         ("xb_grid", [-30.0, float("inf")]),
@@ -509,7 +598,6 @@ def test_accuracy_rejects_a_model_of_another_shape_than_n_and_m(tmp_path, capsys
 @pytest.mark.parametrize(
     "command, sets",
     [
-        ("accuracy", ["train_fraction=0.99", "crosstalk=false"]),
         ("accuracy", ["train_fraction=0.99"]),
         ("train", ["train_fraction=0.01"]),
     ],

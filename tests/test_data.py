@@ -68,6 +68,18 @@ def test_idx_count_mismatch(tmp_path):
         ingest_idx(ip, lp)
 
 
+@pytest.mark.parametrize(
+    "dims", [(0xFFFFFFFF,) * 3, (100000, 1000, 1000)], ids=["overflow", "oversize"]
+)
+def test_idx_header_claiming_more_than_the_file_holds(tmp_path, dims):
+    """Rejected before the read, which would overflow the read size or
+    exhaust memory."""
+    path = tmp_path / "images.idx"
+    path.write_bytes(struct.pack(">IIII", 0x00000803, *dims) + bytes(10))
+    with pytest.raises(ValueError, match="truncated IDX payload while reading image"):
+        ingest_idx(str(path), str(path))
+
+
 def test_idx_empty_file(tmp_path):
     path = tmp_path / "empty.idx"
     path.write_bytes(b"")

@@ -1,7 +1,8 @@
 """``ast`` walks standing in for linter rules: every name an ``spnn`` module
 imports is used in that module, every config field is read, every private
-top-level name is read somewhere in the package, and every parameter default
-is overridden by some call."""
+top-level name is read somewhere in the package, every parameter default
+is overridden by some call, and the config's coercion has one branch per
+field type."""
 
 import ast
 import dataclasses
@@ -99,6 +100,47 @@ def test_every_config_field_is_read():
             read |= cfg_reads(path.read_text(encoding="utf-8"))
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert [name for name in fields if name not in read] == []
+
+
+def coerced_types(source: str) -> set[str]:
+    """The field types that ``_coerce`` in ``source`` compares ``target``
+    with, each one branch."""
+    (coerce,) = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_coerce"
+    ]
+    return {
+        c.value
+        for node in ast.walk(coerce)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name)
+        and node.left.id == "target"
+        for c in node.comparators
+        if isinstance(c, ast.Constant)
+    }
+
+
+def test_the_check_finds_every_type_branch():
+    source = (
+        "def _coerce(name, value):\n"
+        "    target = TYPES[name]\n"
+        "    if target == 'bool':\n        return bool(value)\n"
+        "    if other == 'str':\n        return value\n"
+        "    return int(value) if target == 'int' else float(value)\n"
+    )
+    assert coerced_types(source) == {"bool", "int"}
+
+
+def test_coerce_has_one_branch_per_scalar_field_type():
+    """No dead type branch and no unhandled type: ``_coerce`` compares with
+    exactly the scalar types of the config's fields, and its fall-through
+    handles the lists."""
+    types = {f.type for f in dataclasses.fields(ExperimentConfig)}
+    lists = {t for t in types if t.startswith("list[")}
+    assert lists <= {"list[int]", "list[float]"}
+    source = (Path(spnn.__file__).parent / "config.py").read_text(encoding="utf-8")
+    assert coerced_types(source) == types - lists
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
