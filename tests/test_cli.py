@@ -598,6 +598,7 @@ def test_accuracy_rejects_a_model_of_another_shape_than_n_and_m(tmp_path, capsys
 @pytest.mark.parametrize(
     "command, sets",
     [
+        ("accuracy", ["train_fraction=0.01"]),
         ("accuracy", ["train_fraction=0.99"]),
         ("train", ["train_fraction=0.01"]),
     ],
